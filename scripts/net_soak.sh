@@ -8,7 +8,7 @@
 # two-node deployment and
 # scrapes /metrics + /status from both gateways mid-run with
 # `tart-obs --scrape` (lint-clean exposition, stall-attribution series
-# present, parsable wavefront JSON), aggregates both control ports
+# present, parsable wavefront JSON), aggregates both nodes' GET /obs
 # once with `tart-obs --once`, renders the live profiler view with
 # `tart-obs top --once`, and gates `GET /profile` on both nodes (span
 # profiler snapshot present and self-consistent — loop span time <=
@@ -17,6 +17,8 @@
 # >=1 stall episode with >=90% of stall time attributed, and
 # `tart-trace lineage --json` must reconstruct complete causal DAGs for
 # >=95% of the acked inputs (request-lineage gate, docs/TRACING.md).
+# Every node is driven only through its HTTP gateway (--http), the one
+# operator surface.
 # Usage: scripts/net_soak.sh [iterations]   (default 20)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -25,7 +27,7 @@ iters="${1:-20}"
 
 cmake -B build -S . >/dev/null
 cmake --build build -j"$(nproc)" --target net_process_test net_loop_test \
-  gateway_process_test tart-node tart-trace tart-gateway tart-obs
+  gateway_process_test tart-node tart-trace tart-obs
 
 wait_healthy() {
   local addr="$1"
@@ -46,16 +48,13 @@ scrape_phase() {
   dir="$(mktemp -d)"
   local ports=()
   local i
-  for i in 1 2 3 4 5 6; do ports+=("$((20000 + RANDOM % 30000))"); done
-  local left_ctl="127.0.0.1:${ports[1]}" right_ctl="127.0.0.1:${ports[3]}"
-  local left_http="127.0.0.1:${ports[4]}" right_http="127.0.0.1:${ports[5]}"
+  for i in 1 2 3 4; do ports+=("$((20000 + RANDOM % 30000))"); done
+  local left_http="127.0.0.1:${ports[2]}" right_http="127.0.0.1:${ports[3]}"
   cat > "$dir/deploy.conf" <<EOF
 topology = wordcount
 param senders = 2
 partition left = 127.0.0.1:${ports[0]}
-control left = $left_ctl
-partition right = 127.0.0.1:${ports[2]}
-control right = $right_ctl
+partition right = 127.0.0.1:${ports[1]}
 place sender1 = left
 place sender2 = left
 place merger = right
@@ -63,7 +62,6 @@ EOF
   mkdir -p "$dir/left" "$dir/right"
   ./build/src/tools/tart-node "$dir/deploy.conf" left \
     --http="$left_http" --log-dir="$dir/left" --trace="$dir/left.trc" \
-    --sample="$dir/left.jsonl" --sample-interval-ms=100 \
     > "$dir/left.out" 2>&1 &
   local left_pid=$!
   ./build/src/tools/tart-node "$dir/deploy.conf" right \
@@ -89,15 +87,15 @@ EOF
   # Mid-run: both gateways must serve a lint-clean Prometheus page with
   # the per-wire stall-attribution family, and a parsable /status page.
   ./build/src/tools/tart-obs --scrape "$left_http" "$right_http"
-  # Both control ports aggregated into one cluster table.
-  ./build/src/tools/tart-obs --once "$left_ctl" "$right_ctl"
+  # Both nodes' GET /obs aggregated into one cluster table.
+  ./build/src/tools/tart-obs --once --strict "$left_http" "$right_http"
 
   wait "$feeder_pid" || true
 
-  # Live per-node profiler view over the same control ports. This runs
-  # after the feeder so both nodes are past their first gauge sweep (the
-  # sweep is what harvests the profiler into the kGetObs registry).
-  ./build/src/tools/tart-obs top --once "$left_ctl" "$right_ctl"
+  # Live per-node profiler view over the same GET /obs. This runs after
+  # the feeder so both nodes are past their first gauge sweep (the sweep
+  # is what harvests the profiler into the registry /obs serves).
+  ./build/src/tools/tart-obs top --once --strict "$left_http" "$right_http"
 
   # Profile gate (docs/OBSERVABILITY.md "Hot-path profiling"): both live
   # nodes must serve the span-profiler snapshot on GET /profile, with the
@@ -147,10 +145,6 @@ PY
   # Post-drain scrape: the counters page must still lint clean once the
   # pessimism/stall series carry real observations.
   ./build/src/tools/tart-obs --scrape "$left_http" "$right_http"
-  [[ -s "$dir/left.jsonl" ]] || {
-    echo "ERROR: --sample produced no JSONL on the left node" >&2
-    return 1
-  }
 
   curl -fsS -X POST "http://$left_http/shutdown" >/dev/null || true
   curl -fsS -X POST "http://$right_http/shutdown" >/dev/null || true
@@ -214,15 +208,13 @@ checkpoint_phase() {
   dir="$(mktemp -d)"
   local ports=()
   local i
-  for i in 1 2 3 4 5 6; do ports+=("$((20000 + RANDOM % 30000))"); done
-  local left_http="127.0.0.1:${ports[4]}" right_http="127.0.0.1:${ports[5]}"
+  for i in 1 2 3 4; do ports+=("$((20000 + RANDOM % 30000))"); done
+  local left_http="127.0.0.1:${ports[2]}" right_http="127.0.0.1:${ports[3]}"
   cat > "$dir/deploy.conf" <<EOF
 topology = wordcount
 param senders = 2
 partition left = 127.0.0.1:${ports[0]}
-control left = 127.0.0.1:${ports[1]}
-partition right = 127.0.0.1:${ports[2]}
-control right = 127.0.0.1:${ports[3]}
+partition right = 127.0.0.1:${ports[1]}
 place sender1 = left
 place sender2 = left
 place merger = right
@@ -341,18 +333,15 @@ migration_phase() {
   dir="$(mktemp -d)"
   local ports=()
   local i
-  for i in $(seq 0 8); do ports+=("$((20000 + RANDOM % 30000))"); done
-  local left_http="127.0.0.1:${ports[6]}" mid_http="127.0.0.1:${ports[7]}"
-  local right_http="127.0.0.1:${ports[8]}"
+  for i in $(seq 0 5); do ports+=("$((20000 + RANDOM % 30000))"); done
+  local left_http="127.0.0.1:${ports[3]}" mid_http="127.0.0.1:${ports[4]}"
+  local right_http="127.0.0.1:${ports[5]}"
   cat > "$dir/deploy.conf" <<EOF
 topology = wordcount
 param senders = 2
 partition left = 127.0.0.1:${ports[0]}
-control left = 127.0.0.1:${ports[1]}
-partition mid = 127.0.0.1:${ports[2]}
-control mid = 127.0.0.1:${ports[3]}
-partition right = 127.0.0.1:${ports[4]}
-control right = 127.0.0.1:${ports[5]}
+partition mid = 127.0.0.1:${ports[1]}
+partition right = 127.0.0.1:${ports[2]}
 http left = $left_http
 http mid = $mid_http
 http right = $right_http

@@ -5,9 +5,9 @@
 //
 // Every scalar field of MetricsSnapshot is enumerated EXACTLY ONCE, in
 // TART_METRICS_COMPONENT_FIELDS / TART_METRICS_GLOBAL_FIELDS below. The
-// struct definition, operator+= aggregation, control-plane serde
-// (net/control.cc), Prometheus exposition (obs/exposition.cc) and the
-// sampler's JSON rendering are all generated from that list — adding a
+// struct definition, operator+= aggregation, GET /obs serde
+// (obs/codec.cc), Prometheus exposition and the `tart-obs --series` JSON
+// line (obs/exposition.cc) are all generated from that list — adding a
 // counter without listing it is a compile error (see the static_assert),
 // not a silently-unmerged field.
 //

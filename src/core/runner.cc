@@ -661,7 +661,8 @@ void ComponentRunner::serve_control(const ControlMsg& msg) {
 
 void ComponentRunner::process(const Message& m) {
   const auto& spec = topology_.wire(m.wire);
-  const VirtualTime dequeue_vt = max(m.vt, current_vt_);
+  const VirtualTime dequeue_vt =
+      max(m.vt, current_vt_.load(std::memory_order_relaxed));
   // The dispatch record IS the scheduling decision: replaying the same log
   // must reproduce this stream exactly (§II.D), which the trace differ
   // checks.
@@ -760,14 +761,14 @@ void ComponentRunner::process(const Message& m) {
   current_origin_seq_ = 0;
   current_origin_wall_ns_ = 0;
 
-  current_vt_ = cursor;
+  current_vt_.store(cursor, std::memory_order_relaxed);
   input_pos_[m.wire] = InputPos{m.vt, m.seq + 1};
   metrics_.messages_processed.inc();
   ++processed_since_checkpoint_;
 
   if (config_.calibration) {
     estimators_.add_sample(ctx.counters(),
-                           static_cast<double>(elapsed_ns), current_vt_);
+                           static_cast<double>(elapsed_ns), cursor);
   }
 
   maybe_checkpoint();
@@ -1035,7 +1036,7 @@ void ComponentRunner::restore_from(
 
   const checkpoint::ComponentSnapshot& last =
       plan->deltas.empty() ? plan->base : plan->deltas.back();
-  current_vt_ = last.vt;
+  current_vt_.store(last.vt, std::memory_order_relaxed);
   max_arrival_vt_ = VirtualTime(-1);
   checkpoint_version_ = last.version;
   processed_since_checkpoint_ = 0;
@@ -1108,7 +1109,7 @@ bool ComponentRunner::exhausted() const {
 
 VirtualTime ComponentRunner::current_vt() const {
   const std::lock_guard<std::mutex> lk(mu_);
-  return current_vt_;
+  return current_vt_.load(std::memory_order_relaxed);
 }
 
 ComponentStatus ComponentRunner::status() const {
@@ -1116,7 +1117,7 @@ ComponentStatus ComponentRunner::status() const {
   ComponentStatus st;
   st.id = id_;
   st.name = name_;
-  st.vt_ticks = current_vt_.ticks();
+  st.vt_ticks = current_vt_.load(std::memory_order_relaxed).ticks();
   st.pending = inbox_.pending();
   if (config_.mode == SchedulingMode::kArrivalOrder)
     st.pending += arrival_queue_.size();

@@ -281,7 +281,10 @@ class ComponentRunner {
   bool final_silence_sent_ = false;
 
   // Runner-thread-private state.
-  VirtualTime current_vt_ = VirtualTime::zero();
+  /// Written by the runner thread only; status() and current_vt() read it
+  /// from other threads, hence atomic (relaxed: a report may trail by one
+  /// dispatch).
+  std::atomic<VirtualTime> current_vt_{VirtualTime::zero()};
   VirtualTime max_arrival_vt_ = VirtualTime(-1);  // out-of-order detection
   std::map<WireId, InputPos> input_pos_;          // data/call/external inputs
   std::map<WireId, VirtualTime> last_reply_;      // reply-wire positions

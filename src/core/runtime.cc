@@ -131,8 +131,8 @@ Runtime::Runtime(Topology topology, std::map<ComponentId, EngineId> placement,
       // Resume positions past anything recovered from stable storage
       // (next_seq, not size: compaction may have truncated a covered
       // prefix out of the retained log).
-      adapter->next_seq = message_log_.next_seq(spec.id);
-      adapter->last_vt = message_log_.last_vt(spec.id);
+      adapter->resume(message_log_.next_seq(spec.id),
+                      message_log_.last_vt(spec.id));
       inputs_.emplace(spec.id, std::move(adapter));
     }
     if (spec.kind == WireKind::kExternalOutput &&
@@ -266,6 +266,7 @@ VirtualTime Runtime::inject(WireId input_wire, Payload payload) {
   }
   record_ingest(m, arrive_ns, wall_now_ns());
   to_receiver(input_wire, transport::DataFrame{m});
+  mark_handed(in, m);
   return m.vt;
 }
 
@@ -297,6 +298,7 @@ VirtualTime Runtime::inject_at(WireId input_wire, VirtualTime vt,
   }
   record_ingest(m, arrive_ns, wall_now_ns());
   to_receiver(input_wire, transport::DataFrame{m});
+  mark_handed(in, m);
   return m.vt;
 }
 
@@ -383,12 +385,24 @@ std::vector<InjectResult> Runtime::try_inject_batch(
 
   // Logged (durably or not) — now, and only now, let the messages affect
   // the system (§II.E: log before delivery).
+  std::map<WireId, const Message*> last_of_wire;
   for (std::size_t b = 0; b < batch.size(); ++b) {
     if (!durable) results[batch_to_request[b]].status = InjectStatus::kStoreFailed;
     record_ingest(batch[b], batch[b].origin_wall_ns, durable_ns);
     to_receiver(batch[b].wire, transport::DataFrame{batch[b]});
+    last_of_wire[batch[b].wire] = &batch[b];
   }
+  for (const auto& [wire, m] : last_of_wire)
+    mark_handed(*adapters.at(wire), *m);
   return results;
+}
+
+void Runtime::mark_handed(InputAdapter& in, const Message& m) {
+  const std::lock_guard<std::mutex> lk(in.mu);
+  if (m.seq >= in.handed_seq) {
+    in.handed_seq = m.seq + 1;
+    in.handed_vt = m.vt;
+  }
 }
 
 void Runtime::close_input(WireId input_wire) {
@@ -493,7 +507,12 @@ void Runtime::handle_external_sender_frame(WireId wire,
     {
       const std::lock_guard<std::mutex> lk(in.mu);
       seq = in.next_seq;
-      if (in.closed) {
+      if (in.handed_seq < seq) {
+        // A logged message is still on its way to the receiver: promise
+        // nothing past what it has been handed (InputAdapter::handed_seq).
+        seq = in.handed_seq;
+        through = in.handed_vt;
+      } else if (in.closed) {
         through = VirtualTime::infinity();
       } else if (in.source == InputAdapter::Source::kRealtime) {
         through = max(in.last_vt, real_now());
@@ -898,8 +917,8 @@ bool Runtime::adopt_component(ComponentId c, EngineId onto,
       if (spec.kind == WireKind::kExternalInput && spec.to == c &&
           !inputs_.contains(spec.id)) {
         auto adapter = std::make_shared<InputAdapter>();
-        adapter->next_seq = message_log_.next_seq(spec.id);
-        adapter->last_vt = message_log_.last_vt(spec.id);
+        adapter->resume(message_log_.next_seq(spec.id),
+                        message_log_.last_vt(spec.id));
         inputs_.emplace(spec.id, std::move(adapter));
       }
       if (spec.kind == WireKind::kExternalOutput && spec.from == c &&

@@ -376,6 +376,21 @@ class Runtime final : public FrameRouter {
     enum class Source { kUnknown, kRealtime, kScripted };
     Source source = Source::kUnknown;
     bool closed = false;
+    /// Seq-prefix and last vt of the data frames already handed to the
+    /// receiver's path. A message is stamped and logged (next_seq, last_vt)
+    /// under `mu`, but delivered after `mu` is released; a probe's silence
+    /// reply must not announce it before then, or it can overtake the data
+    /// and read as a gap (replay request, then a duplicate discard).
+    std::uint64_t handed_seq = 0;
+    VirtualTime handed_vt = VirtualTime(-1);
+
+    /// Resumes past everything the log already holds (recovered from
+    /// stable storage or shipped by a migration). Receivers fetch those
+    /// records by replay request, so they count as handed over.
+    void resume(std::uint64_t seq, VirtualTime vt) {
+      next_seq = handed_seq = seq;
+      last_vt = handed_vt = vt;
+    }
   };
 
   struct OutputSink {
@@ -406,6 +421,9 @@ class Runtime final : public FrameRouter {
   /// stamped-and-logged injection against the edge pseudo-component.
   void record_ingest(const Message& m, std::int64_t arrive_ns,
                      std::int64_t durable_ns);
+  /// Counts an injection whose data frame was delivered, with every
+  /// earlier one on its wire, as handed over (InputAdapter::handed_seq).
+  void mark_handed(InputAdapter& in, const Message& m);
   /// Pins the adapter/sink for a wire (nullptr when not locally owned);
   /// shared_ptr so a concurrent eviction cannot free it mid-call.
   [[nodiscard]] std::shared_ptr<InputAdapter> input_adapter(WireId wire) const;

@@ -1,5 +1,6 @@
 #include "gateway/gateway.h"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include "common/logging.h"
 #include "durability/manager.h"
 #include "net/partition_config.h"
+#include "obs/codec.h"
 #include "obs/exposition.h"
 #include "obs/prof.h"
 
@@ -123,17 +125,12 @@ std::string render_payload(const Payload& payload) {
 
 Gateway::Gateway(core::Runtime* runtime, Options options,
                  std::map<std::string, WireId> inputs,
-                 std::map<std::string, WireId> outputs, MetricsFn metrics_fn,
-                 std::function<void()> on_shutdown, RedirectFn redirect_fn,
-                 MigrateFn migrate_fn)
+                 std::map<std::string, WireId> outputs, Hooks hooks)
     : runtime_(runtime),
       options_(std::move(options)),
       inputs_(std::move(inputs)),
       outputs_(std::move(outputs)),
-      metrics_fn_(std::move(metrics_fn)),
-      on_shutdown_(std::move(on_shutdown)),
-      redirect_fn_(std::move(redirect_fn)),
-      migrate_fn_(std::move(migrate_fn)),
+      hooks_(std::move(hooks)),
       // Ack latencies: 50us buckets to 250ms, overflow above (fsync-bound
       // tails on loaded disks land in the overflow bucket, still counted).
       ack_latency_(runtime->registry().histogram(
@@ -170,7 +167,13 @@ Gateway::Gateway(core::Runtime* runtime, Options options,
 Gateway::~Gateway() { shutdown(); }
 
 void Gateway::shutdown() {
-  if (stopping_.exchange(true)) return;
+  {
+    // The flag flips under the committer's mutex: a committer between its
+    // predicate check and its wait would otherwise miss both the store and
+    // the notify below, and sleep forever.
+    const std::lock_guard<std::mutex> lk(commit_mu_);
+    if (stopping_.exchange(true)) return;
+  }
 
   // Committer first: it finishes the in-flight round, then every queued
   // injection is failed 503 (never silently acked — the contract is that
@@ -321,22 +324,22 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
   const auto strip = [&](std::string_view prefix) -> std::string_view {
     return std::string_view(path).substr(prefix.size());
   };
+  // Answers 405 unless the request uses `want`.
+  const auto method_ok = [&](std::string_view want) {
+    if (req.method == want) return true;
+    errors_.fetch_add(1);
+    std::string body(want);
+    body += " only\n";
+    respond(id, 405, {{"Allow", std::string(want)}}, body, req.keep_alive);
+    return false;
+  };
 
   if (path.rfind("/inject/", 0) == 0) {
-    if (req.method != "POST") {
-      errors_.fetch_add(1);
-      respond(id, 405, {{"Allow", "POST"}}, "POST only\n", req.keep_alive);
-      return;
-    }
-    handle_inject(id, req, strip("/inject/"));
+    if (method_ok("POST")) handle_inject(id, req, strip("/inject/"));
     return;
   }
   if (path.rfind("/close/", 0) == 0) {
-    if (req.method != "POST") {
-      errors_.fetch_add(1);
-      respond(id, 405, {{"Allow", "POST"}}, "POST only\n", req.keep_alive);
-      return;
-    }
+    if (!method_ok("POST")) return;
     const std::string name(strip("/close/"));
     const auto it = inputs_.find(name);
     if (it == inputs_.end()) {
@@ -350,20 +353,11 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
     return;
   }
   if (path.rfind("/outputs/", 0) == 0) {
-    if (req.method != "GET") {
-      errors_.fetch_add(1);
-      respond(id, 405, {{"Allow", "GET"}}, "GET only\n", req.keep_alive);
-      return;
-    }
-    handle_outputs(id, req, strip("/outputs/"));
+    if (method_ok("GET")) handle_outputs(id, req, strip("/outputs/"));
     return;
   }
   if (path == "/drain") {
-    if (req.method != "POST") {
-      errors_.fetch_add(1);
-      respond(id, 405, {{"Allow", "POST"}}, "POST only\n", req.keep_alive);
-      return;
-    }
+    if (!method_ok("POST")) return;
     const auto params = parse_query(req.query);
     std::int64_t timeout_ms = 30000;
     if (const auto t = query_param(params, "timeout_ms")) {
@@ -399,11 +393,7 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
     return;
   }
   if (path == "/checkpoint") {
-    if (req.method != "POST") {
-      errors_.fetch_add(1);
-      respond(id, 405, {{"Allow", "POST"}}, "POST only\n", req.keep_alive);
-      return;
-    }
+    if (!method_ok("POST")) return;
     durability::CheckpointManager* mgr = runtime_->checkpoint_manager();
     if (mgr == nullptr) {
       errors_.fetch_add(1);
@@ -439,52 +429,46 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
     return;
   }
   if (path == "/migrate") {
-    if (req.method != "POST") {
-      errors_.fetch_add(1);
-      respond(id, 405, {{"Allow", "POST"}}, "POST only\n", req.keep_alive);
-      return;
-    }
-    handle_migrate(id, req);
+    if (method_ok("POST")) handle_migrate(id, req);
     return;
   }
   if (path == "/shutdown") {
-    if (req.method != "POST") {
-      errors_.fetch_add(1);
-      respond(id, 405, {{"Allow", "POST"}}, "POST only\n", req.keep_alive);
-      return;
-    }
+    if (!method_ok("POST")) return;
     respond(id, 200, {}, "shutting down\n", req.keep_alive);
-    if (on_shutdown_) on_shutdown_();
+    if (hooks_.on_shutdown) hooks_.on_shutdown();
     return;
   }
   if (path == "/metrics") {
-    if (req.method != "GET") {
-      errors_.fetch_add(1);
-      respond(id, 405, {{"Allow", "GET"}}, "GET only\n", req.keep_alive);
-      return;
-    }
+    if (!method_ok("GET")) return;
+    // One exposition path for the whole node: the global (snapshot)
+    // families plus every registry sample — per-component counters,
+    // pessimism-stall and probe-RTT histograms, and the gateway's own
+    // latency/batch cells.
     respond(id, 200, {{"Content-Type", obs::kPrometheusContentType}},
-            render_metrics(), req.keep_alive);
+            obs::render_prometheus(snapshot(), &runtime_->registry(),
+                                   options_.exemplars),
+            req.keep_alive);
     return;
   }
   if (path == "/status") {
-    if (req.method != "GET") {
-      errors_.fetch_add(1);
-      respond(id, 405, {{"Allow", "GET"}}, "GET only\n", req.keep_alive);
-      return;
-    }
+    if (!method_ok("GET")) return;
     const auto samples = runtime_->registry().samples();
     respond(id, 200, {{"Content-Type", "application/json"}},
-            obs::render_status_json(runtime_->status(), &samples),
+            obs::render_status_json(status(), &samples), req.keep_alive);
+    return;
+  }
+  if (path == "/obs") {
+    if (!method_ok("GET")) return;
+    const std::vector<std::byte> body = obs::encode_node_obs(
+        obs::NodeObs{snapshot(), runtime_->registry().samples(), status()});
+    respond(id, 200, {{"Content-Type", obs::kObsContentType}},
+            std::string_view(reinterpret_cast<const char*>(body.data()),
+                             body.size()),
             req.keep_alive);
     return;
   }
   if (path == "/profile") {
-    if (req.method != "GET") {
-      errors_.fetch_add(1);
-      respond(id, 405, {{"Allow", "GET"}}, "GET only\n", req.keep_alive);
-      return;
-    }
+    if (!method_ok("GET")) return;
     respond(id, 200, {{"Content-Type", "application/json"}},
             obs::prof::render_json(), req.keep_alive);
     return;
@@ -613,8 +597,8 @@ void Gateway::handle_outputs(std::uint64_t id, const HttpRequest& req,
 
 bool Gateway::maybe_redirect(std::uint64_t id, const HttpRequest& req,
                              const std::string& name) {
-  if (!redirect_fn_) return false;
-  const auto owner = redirect_fn_(name);
+  if (!hooks_.redirect) return false;
+  const auto owner = hooks_.redirect(name);
   if (!owner) return false;  // wire is served here
   if (owner->empty()) {
     // Owner is another partition with no advertised http address: nothing
@@ -637,7 +621,7 @@ bool Gateway::maybe_redirect(std::uint64_t id, const HttpRequest& req,
 }
 
 void Gateway::handle_migrate(std::uint64_t id, const HttpRequest& req) {
-  if (!migrate_fn_) {
+  if (!hooks_.migrate) {
     errors_.fetch_add(1);
     respond(id, 503, {}, "placement control is not enabled on this node\n",
             req.keep_alive);
@@ -666,7 +650,7 @@ void Gateway::handle_migrate(std::uint64_t id, const HttpRequest& req) {
   workers_.emplace_back([this, id, comp, node, keep] {
     MigrateOutcome r;
     try {
-      r = migrate_fn_(comp, node);
+      r = hooks_.migrate(comp, node);
     } catch (const std::exception& e) {
       r.ok = false;
       r.error = e.what();
@@ -759,8 +743,9 @@ void Gateway::flush_out(std::uint64_t id) {
   if (it == conns_.end()) return;
   Conn* c = it->second.get();
   while (c->out_off < c->outbuf.size()) {
-    const ssize_t n = ::write(c->fd.get(), c->outbuf.data() + c->out_off,
-                              c->outbuf.size() - c->out_off);
+    // A client that hung up must cost its connection, not a SIGPIPE.
+    const ssize_t n = ::send(c->fd.get(), c->outbuf.data() + c->out_off,
+                             c->outbuf.size() - c->out_off, MSG_NOSIGNAL);
     if (n > 0) {
       c->out_off += static_cast<std::size_t>(n);
       continue;
@@ -914,17 +899,17 @@ void Gateway::complete_commits(std::vector<PendingInject> batch,
   }
 }
 
-// --- Metrics ----------------------------------------------------------------
+// --- Telemetry --------------------------------------------------------------
 
-std::string Gateway::render_metrics() const {
+core::MetricsSnapshot Gateway::snapshot() const {
   core::MetricsSnapshot m =
-      metrics_fn_ ? metrics_fn_() : runtime_->total_metrics();
+      hooks_.metrics ? hooks_.metrics() : runtime_->total_metrics();
   fill(m);
-  // One exposition path for the whole node: the global (snapshot) families
-  // plus every registry sample — per-component counters, pessimism-stall
-  // and probe-RTT histograms, and the gateway's own latency/batch cells.
-  return obs::render_prometheus(m, &runtime_->registry(),
-                                options_.exemplars);
+  return m;
+}
+
+core::StatusReport Gateway::status() const {
+  return hooks_.status ? hooks_.status() : runtime_->status();
 }
 
 }  // namespace tart::gateway

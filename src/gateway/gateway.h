@@ -25,7 +25,13 @@
 //   GET  /outputs/<output>[?after=N&wait_ms=M&max=K]   drain/long-poll
 //   GET  /metrics                 Prometheus text exposition (obs registry)
 //   GET  /status                  silence-wavefront JSON (per component)
+//   GET  /obs                     metrics + samples + status, serde-encoded
+//                                 (obs/codec.h; what tart-obs polls)
+//   GET  /profile                 hot-path span profiler snapshot (JSON)
 //   GET  /healthz
+//
+// These routes are the only way to operate a node; there is no second
+// operator protocol.
 //
 // Threading: one event-loop thread owns every socket (accept/read/write,
 // same net::EventLoop as the peer transport), the committer thread owns
@@ -102,9 +108,13 @@ class Gateway {
     bool exemplars = false;
   };
 
-  /// Extra metrics merged into GET /metrics (the hosting NetHost supplies
-  /// its transport-inclusive snapshot); defaults to runtime totals.
+  /// Extra metrics merged into GET /metrics and /obs (the hosting NetHost
+  /// supplies its transport-inclusive snapshot); defaults to runtime totals.
   using MetricsFn = std::function<core::MetricsSnapshot()>;
+
+  /// Status report for GET /status and /obs (the hosting NetHost adds its
+  /// placement plane); defaults to Runtime::status().
+  using StatusFn = std::function<core::StatusReport()>;
 
   /// Where an external input/output named `name` is served RIGHT NOW, when
   /// that is not here: the advertised http address ("host:port") of the
@@ -119,18 +129,24 @@ class Gateway {
   using MigrateFn = std::function<MigrateOutcome(
       const std::string& component, const std::string& to_node)>;
 
+  /// What the hosting process plugs in; every hook is optional.
+  struct Hooks {
+    MetricsFn metrics;
+    StatusFn status;
+    /// Runs when a client POSTs /shutdown.
+    std::function<void()> on_shutdown;
+    RedirectFn redirect;
+    MigrateFn migrate;
+  };
+
   /// Binds and serves immediately. `inputs`/`outputs` map external names
   /// to wires. In partitioned deployments pass EVERY external wire plus a
-  /// `redirect_fn`: requests for wires owned elsewhere answer 307 toward
+  /// `hooks.redirect`: requests for wires owned elsewhere answer 307 toward
   /// the current owner (live migration moves ownership mid-run). Throws
-  /// ConfigError when the listen address is bad or taken. `on_shutdown`
-  /// runs when a client POSTs /shutdown.
+  /// ConfigError when the listen address is bad or taken.
   Gateway(core::Runtime* runtime, Options options,
           std::map<std::string, WireId> inputs,
-          std::map<std::string, WireId> outputs,
-          MetricsFn metrics_fn = nullptr,
-          std::function<void()> on_shutdown = nullptr,
-          RedirectFn redirect_fn = nullptr, MigrateFn migrate_fn = nullptr);
+          std::map<std::string, WireId> outputs, Hooks hooks = {});
   ~Gateway();
 
   Gateway(const Gateway&) = delete;
@@ -178,7 +194,7 @@ class Gateway {
                       std::string_view name);
   void handle_migrate(std::uint64_t id, const HttpRequest& req);
   /// Answers 307 toward the current owner when `name` is served elsewhere
-  /// (redirect_fn_ says so); returns true when a redirect was sent.
+  /// (hooks_.redirect says so); returns true when a redirect was sent.
   bool maybe_redirect(std::uint64_t id, const HttpRequest& req,
                       const std::string& name);
   void poll_outputs(std::uint64_t id, WireId wire, std::size_t after,
@@ -190,7 +206,8 @@ class Gateway {
                std::string_view body, bool keep_alive);
   void flush_out(std::uint64_t id);
   void drop_conn(std::uint64_t id);
-  [[nodiscard]] std::string render_metrics() const;
+  [[nodiscard]] core::MetricsSnapshot snapshot() const;
+  [[nodiscard]] core::StatusReport status() const;
 
   // Committer thread.
   void committer_main();
@@ -201,10 +218,7 @@ class Gateway {
   Options options_;
   std::map<std::string, WireId> inputs_;
   std::map<std::string, WireId> outputs_;
-  MetricsFn metrics_fn_;
-  std::function<void()> on_shutdown_;
-  RedirectFn redirect_fn_;
-  MigrateFn migrate_fn_;
+  Hooks hooks_;
 
   net::Fd listener_;
   std::uint16_t port_ = 0;

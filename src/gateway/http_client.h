@@ -1,10 +1,10 @@
-// Minimal blocking HTTP/1.1 client for tests and benches.
+// Minimal blocking HTTP/1.1 client for tart-obs, tests and benches.
 //
 // Deliberately simple: one connection, keep-alive, synchronous
 // request/response, reusing HttpParser-style incremental response reading.
 // Not part of the production surface — external clients speak ordinary
-// HTTP; this exists so the test suite and bench_gateway need no third-party
-// HTTP library.
+// HTTP; this exists so tart-obs, the test suite and the benches need no
+// third-party HTTP library.
 #pragma once
 
 #include <chrono>

@@ -54,9 +54,16 @@ bool FileStableStore::append_batch(
   if (records.empty()) return true;
   serde::Writer buf;
   for (const auto& record : records) frame_record(buf, record);
-  if (!write_all(fd_, buf.bytes())) return false;
   // One durability point for the whole batch — this is the group commit.
-  if (::fsync(fd_) != 0) return false;
+  if (!write_all(fd_, buf.bytes()) || ::fsync(fd_) != 0) {
+    // Fail-stop: a torn frame may now sit at the tail, and scan() stops
+    // there, so anything appended after it would be acked yet unreadable
+    // on restart. fsync errors are not retryable either (the kernel may
+    // already have dropped the dirty pages). Refuse every later append.
+    ::close(fd_);
+    fd_ = -1;
+    return false;
+  }
   written_.fetch_add(records.size(), std::memory_order_relaxed);
   flushes_.fetch_add(1, std::memory_order_relaxed);
   return true;

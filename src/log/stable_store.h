@@ -58,8 +58,9 @@ class FileStableStore final : public StableSink {
   /// Appends N records with ONE write and ONE fsync: the records become
   /// durable together, for the cost of a single flush. Returns false on
   /// I/O failure (no record of the batch should then be trusted durable,
-  /// though an intact prefix may still survive a scan). An empty batch is
-  /// a no-op that succeeds without flushing.
+  /// though an intact prefix may still survive a scan). The store is
+  /// fail-stop: after a failed write or fsync every later append returns
+  /// false. An empty batch is a no-op that succeeds without flushing.
   bool append_batch(std::span<const std::vector<std::byte>> records) override;
 
   [[nodiscard]] const std::string& path() const { return path_; }

@@ -1,5 +1,6 @@
 #include "net/connection_manager.h"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -477,8 +478,10 @@ void ConnectionManager::flush_writes(Peer& peer) {
   TART_PROF_SPAN("net.send_flush");
   while (!peer.outq.empty() && peer.fd.valid()) {
     Peer::OutBuf& front = peer.outq.front();
-    const auto n = ::write(peer.fd.get(), front.bytes.data() + front.offset,
-                           front.bytes.size() - front.offset);
+    // MSG_NOSIGNAL: a peer that died (SIGKILL, crash) must cost a dropped
+    // link, not a SIGPIPE that kills this node too.
+    const auto n = ::send(peer.fd.get(), front.bytes.data() + front.offset,
+                          front.bytes.size() - front.offset, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       if (errno == EINTR) continue;

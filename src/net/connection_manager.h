@@ -123,6 +123,10 @@ class ConnectionManager {
   /// link loss and resume after reconnect.
   bool send_message(const std::string& peer, const NetMessage& msg);
 
+  /// Link state as the net thread last published it. Observers wait: the
+  /// flag flips BEFORE the LinkHandler for that transition runs (on the
+  /// net thread), so a caller that sees it change must not assume the
+  /// handler's effects are visible yet.
   [[nodiscard]] bool peer_up(const std::string& peer) const;
   /// Actual bound listen port (for configs with port 0). 0 if not listening.
   [[nodiscard]] std::uint16_t listen_port() const { return listen_port_; }

@@ -15,26 +15,23 @@
 //     (and, via sequence accounting, replay of anything lost while the
 //     link was down or this node was dead). §II.F.4's recovery story over
 //     real sockets.
-//   - control plane: a small blocking TCP server (control.h protocol) for
-//     external drivers to inject inputs, drain, and read outputs/metrics.
-//     Injections flow through the normal external-input adapters, so they
-//     are timestamped + logged and a control-driven run cold-restarts from
-//     log_dir exactly like any other (§II.E).
+//   - operator plane: the HTTP gateway (gateway/gateway.h), the node's
+//     only operator surface — inject, close, drain, outputs, metrics,
+//     status, obs, profile, checkpoint, migrate, shutdown. It sits outside
+//     the deterministic protocol: injections flow through the normal
+//     external-input adapters, so they are timestamped + logged and an
+//     HTTP-driven run cold-restarts from log_dir exactly like any other
+//     (§II.E). Telemetry leaves the node one way: operators poll it.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/runtime.h"
 #include "gateway/gateway.h"
 #include "net/connection_manager.h"
-#include "obs/sampler.h"
-#include "net/control.h"
 #include "net/partition_config.h"
 #include "net/topologies.h"
 #include "placement/coordinator.h"
@@ -49,21 +46,12 @@ struct HostOptions {
   /// partition (clients talk to the node hosting the component).
   std::string http_addr;
   bool http_group_commit = true;  ///< see gateway::Gateway::Options
-  /// JSONL telemetry sampler output path; empty = sampler off (default).
-  /// Read-only observer — never perturbs the deterministic protocol.
-  std::string sample_path;
-  int sample_interval_ms = 1000;
   /// Render OpenMetrics exemplars on the gateway's GET /metrics (stall
   /// episode ids linking fat buckets to `tart-trace explain --episode`).
   bool http_exemplars = false;
   /// Period of the queue-depth / log-retention gauge sweep, run as a timer
   /// on the connection manager's event loop. <= 0 disables the sweep.
   int gauge_interval_ms = 500;
-  /// Push-based remote write: "host:port" of a collector (tart-obs
-  /// --listen) to ship kObsPush telemetry to every push_interval_ms.
-  /// Empty = no pushing (default).
-  std::string push_addr;
-  int push_interval_ms = 1000;
   /// Durable checkpoints + checkpoint-gated log compaction + tiered fast
   /// restart (docs/RECOVERY.md). Requires log_dir. start() then replays
   /// the recovered log suffix to quiescence — outputs suppressed — before
@@ -90,14 +78,15 @@ class NetHost {
   NetHost(const NetHost&) = delete;
   NetHost& operator=(const NetHost&) = delete;
 
-  /// Starts the runtime, the peer transport, and the control server.
+  /// Starts the runtime, the peer transport, and the HTTP gateway (when
+  /// http_addr is set).
   void start();
 
-  /// Blocks until request_shutdown() (control kShutdown or a signal
-  /// handler), then tears everything down. Returns a process exit code.
+  /// Blocks until request_shutdown() (POST /shutdown or a signal handler),
+  /// then tears everything down. Returns a process exit code.
   int run_until_shutdown();
 
-  /// Thread- and signal-safe (only sets a flag and pokes a condvar).
+  /// Thread- and signal-safe (only sets a flag).
   void request_shutdown();
 
   [[nodiscard]] core::Runtime& runtime() { return *runtime_; }
@@ -108,7 +97,6 @@ class NetHost {
   }
   /// Runtime totals merged with the socket-transport counters.
   [[nodiscard]] core::MetricsSnapshot metrics() const;
-  [[nodiscard]] std::uint16_t control_port() const { return control_port_; }
   [[nodiscard]] std::uint16_t data_port() const {
     return conn_ ? conn_->listen_port() : 0;
   }
@@ -136,10 +124,6 @@ class NetHost {
   /// Status report with the placement-plane fields filled in.
   [[nodiscard]] core::StatusReport status_with_placement();
 
-  void control_accept_loop();
-  void control_serve(Fd fd);
-  [[nodiscard]] NetMessage handle_control(const NetMessage& request);
-
   /// Loop-thread only: one gauge sweep (wire queue depths, retention
   /// buffers, external-log sizes) into the runtime's registry, then
   /// re-arms itself. Stops re-arming once stopping_ is set.
@@ -147,7 +131,6 @@ class NetHost {
   /// Synchronously cancels the gauge timer on the loop thread (so no sweep
   /// can be mid-flight when the runtime starts stopping).
   void stop_gauge_timer();
-  void push_loop();
 
   DeploymentConfig deploy_;
   const PartitionSpec* self_ = nullptr;  // points into deploy_
@@ -170,20 +153,10 @@ class NetHost {
   /// half-initialized host (on_link dereferences conn_ to probe wires).
   std::atomic<bool> conn_ready_{false};
   std::unique_ptr<gateway::Gateway> gateway_;
-  std::unique_ptr<obs::Sampler> sampler_;
 
   /// Loop-thread only (armed via post()).
   EventLoop::TimerId gauge_timer_ = 0;
-  std::thread push_thread_;
 
-  Fd control_listener_;
-  std::uint16_t control_port_ = 0;
-  std::thread control_thread_;
-  std::mutex conns_mu_;
-  std::vector<std::thread> conn_threads_;
-
-  std::mutex shutdown_mu_;
-  std::condition_variable shutdown_cv_;
   std::atomic<bool> shutdown_requested_{false};
   std::atomic<bool> stopping_{false};
   bool started_ = false;

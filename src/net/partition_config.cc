@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "net/socket.h"
@@ -55,7 +56,7 @@ std::uint64_t DeploymentConfig::topology_fingerprint() const {
   for (const auto& p : partitions) {
     w.write_string(p.name);
     w.write_string(p.data_addr);
-    // control_addr / http_addr deliberately excluded: node-operator
+    // http_addr deliberately excluded: node-operator
     // plumbing, not part of the distributed protocol two peers must agree
     // on. Placement is excluded too — it drifts under live migration.
   }
@@ -74,7 +75,7 @@ std::uint64_t DeploymentConfig::placement_fingerprint() const {
 
 DeploymentConfig DeploymentConfig::parse(const std::string& text) {
   DeploymentConfig cfg;
-  std::map<std::string, std::string> controls;  // partition -> control addr
+  std::set<std::string> controls;               // partitions with `control`
   std::map<std::string, std::string> https;     // partition -> http addr
   std::istringstream in(text);
   std::string raw;
@@ -109,12 +110,13 @@ DeploymentConfig DeploymentConfig::parse(const std::string& text) {
       if (!SockAddr::parse(value))
         fail(lineno, "bad address '" + value + "' (want host:port)");
       cfg.partitions.push_back(
-          PartitionSpec{name, value, "", "", EngineId::invalid()});
+          PartitionSpec{name, value, "", EngineId::invalid()});
     } else if (directive == "control") {
+      // Retired operator address: validated, then ignored.
       if (name.empty()) fail(lineno, "'control' needs a partition name");
       if (!SockAddr::parse(value))
         fail(lineno, "bad address '" + value + "' (want host:port)");
-      if (!controls.emplace(name, value).second)
+      if (!controls.insert(name).second)
         fail(lineno, "duplicate control for '" + name + "'");
     } else if (directive == "http") {
       if (name.empty()) fail(lineno, "'http' needs a partition name");
@@ -140,11 +142,7 @@ DeploymentConfig DeploymentConfig::parse(const std::string& text) {
             });
   for (std::size_t i = 0; i < cfg.partitions.size(); ++i) {
     cfg.partitions[i].engine = EngineId(static_cast<std::uint32_t>(i));
-    if (const auto it = controls.find(cfg.partitions[i].name);
-        it != controls.end()) {
-      cfg.partitions[i].control_addr = it->second;
-      controls.erase(it);
-    }
+    controls.erase(cfg.partitions[i].name);
     if (const auto it = https.find(cfg.partitions[i].name);
         it != https.end()) {
       cfg.partitions[i].http_addr = it->second;
@@ -153,7 +151,7 @@ DeploymentConfig DeploymentConfig::parse(const std::string& text) {
   }
   if (!controls.empty())
     throw ConfigError("control declared for unknown partition '" +
-                      controls.begin()->first + "'");
+                      *controls.begin() + "'");
   if (!https.empty())
     throw ConfigError("http declared for unknown partition '" +
                       https.begin()->first + "'");

@@ -2,20 +2,26 @@
 //
 // A deployment file names a topology from the catalog (src/net/topologies),
 // declares the partitions (one OS process each, with a data address the
-// socket transport listens on and a control address for external drivers),
-// and places every component onto a partition. The format is line-oriented:
+// socket transport listens on), and places every component onto a
+// partition. The format is line-oriented:
 //
 //   # comment
 //   topology = wordcount
 //   param senders = 2
 //   partition left  = 127.0.0.1:7101
-//   control  left   = 127.0.0.1:7201
 //   partition right = 127.0.0.1:7102
-//   control  right  = 127.0.0.1:7202
-//   http     right  = 127.0.0.1:7302   # optional: advertised gateway addr
+//   http     left   = 127.0.0.1:7301   # optional: advertised gateway addr
+//   http     right  = 127.0.0.1:7302
 //   place sender1 = left
 //   place sender2 = left
 //   place merger  = right
+//
+// Operators reach a node only over its HTTP gateway (`tart-node --http`,
+// docs/GATEWAY.md); an `http` line advertises that address so peers can
+// 307-redirect requests for wires served elsewhere. `control <partition> =
+// <addr>` lines are accepted and validated, then ignored, so files that
+// still carry them keep parsing. A one-partition file with every
+// component placed on it runs a whole topology in one process.
 //
 // Addresses may be numeric IPv4, bracketed IPv6 ("[fe80::1]:7101"), or
 // hostnames ("db-2.rack1:7101") — hostnames resolve via getaddrinfo when
@@ -48,10 +54,9 @@ class ConfigError : public std::runtime_error {
 
 struct PartitionSpec {
   std::string name;
-  std::string data_addr;     ///< host:port the ConnectionManager listens on
-  std::string control_addr;  ///< host:port the control server listens on
-  std::string http_addr;     ///< advertised HTTP gateway (for 307 redirects)
-  EngineId engine;           ///< index in sorted-name order
+  std::string data_addr;  ///< host:port the ConnectionManager listens on
+  std::string http_addr;  ///< advertised HTTP gateway (for 307 redirects)
+  EngineId engine;        ///< index in sorted-name order
 };
 
 struct DeploymentConfig {

@@ -1,8 +1,8 @@
 // Socket wire format: length-prefixed, CRC-checked envelopes.
 //
-// Everything that crosses a TCP connection between tart processes — peer
-// handshakes, heartbeats, transport::Frame traffic, and the tart-node
-// control protocol — travels inside one envelope shape:
+// Everything that crosses a TCP connection between tart nodes — peer
+// handshakes, heartbeats, transport::Frame traffic, placement and stream
+// messages — travels inside one envelope shape:
 //
 //   offset  size  field
 //   0       4     magic 0x54524154 ("TART", little-endian)
@@ -53,35 +53,9 @@ enum class NetMsgType : std::uint8_t {
   kHeartbeat = 2,  ///< idle keep-alive; any traffic counts as liveness
   kFrame = 3,      ///< one transport::Frame
 
-  // tart-node control protocol (external clients).
-  kPing = 16,        ///< liveness probe -> kAck
-  kInject = 17,      ///< external input message -> kInjectAck
-  kInjectAck = 18,   ///< assigned virtual time
-  kCloseInput = 19,  ///< close an external input wire -> kAck
-  kDrain = 20,       ///< close local inputs + await quiescence -> kDrainAck
-  kDrainAck = 21,    ///< bool: quiesced within the timeout
-  kGetOutputs = 22,  ///< fetch records of an external output -> kOutputs
-  kOutputs = 23,
-  kGetMetrics = 24,  ///< fetch merged MetricsSnapshot -> kMetrics
-  kMetrics = 25,
-  kShutdown = 26,  ///< stop the node -> kAck (sent before exit)
-  kAck = 27,
-  kError = 28,      ///< request failed; payload = message string
-  kGetStatus = 29,  ///< fetch the silence wavefront -> kStatus
-  kStatus = 30,
-  kGetObs = 31,  ///< fetch telemetry registry samples -> kObs
-  kObs = 32,
-  /// Push-based remote-write: a node periodically ships its telemetry
-  /// (ObsPushBody) to a collector (tart-obs --listen) -> kAck. Same
-  /// samples as kObs, so collectors aggregate pushed and polled nodes
-  /// with identical SUM/MAX/merge semantics.
-  kObsPush = 33,
-  /// Force a durable checkpoint now (src/durability) -> kCheckpointAck
-  /// (CheckpointResultBody), or kError when durability is off.
-  kCheckpoint = 34,
-  kCheckpointAck = 35,
+  // 16..35 and 44..45 are unassigned: the peer types keep their values.
 
-  // Placement / live migration (peer protocol unless noted).
+  // Placement / live migration.
   /// Epoch-stamped placement override broadcast (PlacementUpdateBody).
   /// Stale epochs are ignored by the receiver.
   kPlacementUpdate = 36,
@@ -97,10 +71,6 @@ enum class NetMsgType : std::uint8_t {
   /// -> kMigrateCommitAck once the target has journaled adoption.
   kMigrateCommit = 42,
   kMigrateCommitAck = 43,
-  /// Control verb: move a component to another partition (MigrateBody)
-  /// -> kMigrateAck (MigrateResultBody) or kError.
-  kMigrate = 44,
-  kMigrateAck = 45,
 };
 
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320), the classic table-driven form.

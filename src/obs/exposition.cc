@@ -571,4 +571,55 @@ std::string render_status_json(const core::StatusReport& report,
   return out;
 }
 
+std::string render_series_line(std::int64_t ts_ms,
+                               const core::MetricsSnapshot& snap,
+                               const std::vector<Sample>& series) {
+  std::string out = "{\"ts_ms\":" + std::to_string(ts_ms) + ",\"metrics\":{";
+  bool first = true;
+#define TART_OBS_SERIES_FIELD(field, prom, help, agg, scale) \
+  if (!first) out += ',';                                    \
+  first = false;                                             \
+  out += "\"" #field "\":" + std::to_string(snap.field);
+  TART_METRICS_SCALAR_FIELDS(TART_OBS_SERIES_FIELD)
+#undef TART_OBS_SERIES_FIELD
+  out += "},\"series\":[";
+  first = true;
+  for (const Sample& s : series) {
+    if (!first) out += ',';
+    first = false;
+    out += "{\"name\":\"" + s.name + "\",\"labels\":{";
+    for (std::size_t i = 0; i < s.labels.size(); ++i) {
+      if (i != 0) out += ',';
+      out += '"' + json_escape(s.labels[i].key) + "\":\"" +
+             json_escape(s.labels[i].value) + '"';
+    }
+    out += '}';
+    switch (s.kind) {
+      case Kind::kCounter:
+        out += ",\"value\":" + std::to_string(s.counter_value);
+        break;
+      case Kind::kGauge:
+        out += ",\"value\":" + std::to_string(s.gauge_value);
+        break;
+      case Kind::kHistogram:
+        if (s.hist) {
+          const stats::Histogram& h = *s.hist;
+          out += ",\"count\":" + std::to_string(h.count());
+          out += ",\"p50\":";
+          append_double(out, h.percentile(50.0));
+          out += ",\"p99\":";
+          append_double(out, h.percentile(99.0));
+          out += ",\"max\":";
+          append_double(out, h.max_seen());
+          out += ",\"sum\":";
+          append_double(out, h.sum());
+        }
+        break;
+    }
+    out += '}';
+  }
+  out += "]}\n";
+  return out;
+}
+
 }  // namespace tart::obs

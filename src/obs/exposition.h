@@ -1,7 +1,6 @@
 // Prometheus text exposition (format 0.0.4) — the ONE rendering routine
-// behind the gateway's GET /metrics, the control-plane metrics dump shown
-// by tart-ctl, and bench printouts. Three hand-rolled renderings used to
-// drift apart; now they can't.
+// behind the gateway's GET /metrics and bench printouts — plus the JSON
+// renderings of GET /status and `tart-obs --series` lines.
 //
 // Conventions enforced here and checked by lint_exposition (which runs in
 // scripts/check.sh against a live scrape):
@@ -16,6 +15,7 @@
 //     bucket with a captured exemplar (the newest in its ring)
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -65,5 +65,11 @@ inline constexpr const char* kPrometheusContentType =
 [[nodiscard]] std::string render_status_json(
     const core::StatusReport& report,
     const std::vector<Sample>* samples = nullptr);
+
+/// One JSONL line (`tart-obs --series`): the timestamp, every scalar field
+/// of `snap`, and each series with its value or histogram summary.
+[[nodiscard]] std::string render_series_line(
+    std::int64_t ts_ms, const core::MetricsSnapshot& snap,
+    const std::vector<Sample>& series);
 
 }  // namespace tart::obs

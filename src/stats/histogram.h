@@ -40,7 +40,7 @@ class Histogram {
   /// aggregators (tart-obs) must not silently blend incompatible scales.
   [[nodiscard]] bool merge(const Histogram& other);
 
-  /// Deterministic serde round-trip, for the control-plane obs dump.
+  /// Deterministic serde round-trip, for the GET /obs body.
   void encode(serde::Writer& w) const;
   [[nodiscard]] static Histogram decode(serde::Reader& r);
 

@@ -2,17 +2,24 @@
 //
 //   tart-node <deployment.conf> <partition> [--log-dir=DIR] [--trace=FILE]
 //             [--http=ADDR|PORT] [--no-group-commit] [--exemplars]
-//             [--sample=FILE] [--sample-interval-ms=N]
-//             [--gauge-interval-ms=N] [--push=ADDR[,INTERVALMS]]
+//             [--gauge-interval-ms=N]
 //             [--durable] [--checkpoint-interval-ms=N] [--checkpoint-bytes=N]
 //             [--checkpoint-keep=K] [--segment-bytes=N]
 //             [--migrate-crash-at=STAGE] [--verbose]
 //
 // Every node of a deployment runs this binary with the SAME config file and
 // its own partition name. The node builds the global topology, constructs
-// only its partition's engine, bridges cross-partition wires over TCP
-// (reconnecting forever), and serves the control protocol on the
-// partition's control address. It runs until a control kShutdown request
+// only its partition's engine, and bridges cross-partition wires over TCP
+// (reconnecting forever). A one-partition file that places every component
+// on its only partition runs a whole topology in one process.
+//
+// With --http, the node serves the HTTP gateway (docs/GATEWAY.md), the
+// only way to operate it: POST /inject, /close, /drain, /checkpoint,
+// /migrate and /shutdown; GET /outputs, /metrics, /status, /obs (what
+// tart-obs polls), /profile and /healthz. POSTed injections are acked only
+// once durable in the log (log-before-ack). --exemplars adds OpenMetrics
+// exemplars to GET /metrics histograms, linking fat stall buckets to
+// `tart-trace explain --episode` ids. The node runs until POST /shutdown
 // or SIGINT/SIGTERM.
 //
 // With --log-dir, external inputs are write-through persisted; restarting
@@ -22,25 +29,15 @@
 // story (§II.F) demonstrated across real processes (see
 // scripts/net_soak.sh, which SIGKILLs a node mid-run).
 //
-// With --http, the node additionally serves the HTTP ingress gateway
-// (docs/GATEWAY.md) for this partition's external inputs/outputs: POSTed
-// injections are acked only once durable in the log (log-before-ack).
-// --exemplars adds OpenMetrics exemplars to GET /metrics histograms,
-// linking fat stall buckets to `tart-trace explain --episode` ids.
-//
-// With --push=ADDR, the node remote-writes its telemetry (metrics +
-// registry samples) to a collector — `tart-obs --listen` — every interval,
-// for deployments where the collector cannot dial the nodes.
-//
 // With --durable (requires --log-dir), the node writes durable checkpoints
 // (docs/RECOVERY.md), compacts its external log below the newest durable
 // checkpoint, and restarts fast: checkpoint restore + suffix-only replay
 // with outputs suppressed instead of a full cold replay. Checkpoints fire
-// on demand (control kCheckpoint / gateway POST /checkpoint) and, with
-// --checkpoint-interval-ms / --checkpoint-bytes, automatically.
+// on demand (POST /checkpoint) and, with --checkpoint-interval-ms /
+// --checkpoint-bytes, automatically.
 //
-// Live migration (docs/PLACEMENT.md): `tart-ctl migrate` / POST /migrate
-// moves a component to another node with the staged VT-barrier protocol.
+// Live migration (docs/PLACEMENT.md): POST /migrate moves a component to
+// another node with the staged VT-barrier protocol.
 // --migrate-crash-at=STAGE is test-only fault injection: the process
 // _exit(137)s at that stage boundary (prepare|transfer|delta|
 // cutover-commit on the source, staged|adopt on the target) so the
@@ -67,9 +64,8 @@ int usage() {
   std::fprintf(stderr,
                "usage: tart-node <deployment.conf> <partition> "
                "[--log-dir=DIR] [--trace=FILE] [--http=ADDR|PORT] "
-               "[--no-group-commit] [--exemplars] [--sample=FILE] "
-               "[--sample-interval-ms=N] [--gauge-interval-ms=N] "
-               "[--push=ADDR[,INTERVALMS]] [--durable] "
+               "[--no-group-commit] [--exemplars] [--gauge-interval-ms=N] "
+               "[--durable] "
                "[--checkpoint-interval-ms=N] [--checkpoint-bytes=N] "
                "[--checkpoint-keep=K] [--segment-bytes=N] "
                "[--migrate-crash-at=STAGE] [--verbose]\n");
@@ -99,15 +95,6 @@ int main(int argc, char** argv) {
       options.http_addr = http_addr_of(arg.substr(std::strlen("--http=")));
     } else if (arg == "--no-group-commit") {
       options.http_group_commit = false;
-    } else if (arg.rfind("--sample=", 0) == 0) {
-      options.sample_path = arg.substr(std::strlen("--sample="));
-    } else if (arg.rfind("--sample-interval-ms=", 0) == 0) {
-      options.sample_interval_ms =
-          std::atoi(arg.c_str() + std::strlen("--sample-interval-ms="));
-      if (options.sample_interval_ms <= 0) {
-        std::fprintf(stderr, "tart-node: bad --sample-interval-ms\n");
-        return usage();
-      }
     } else if (arg == "--exemplars") {
       options.http_exemplars = true;
     } else if (arg.rfind("--gauge-interval-ms=", 0) == 0) {
@@ -116,21 +103,6 @@ int main(int argc, char** argv) {
           std::atoi(arg.c_str() + std::strlen("--gauge-interval-ms="));
       if (options.gauge_interval_ms < 0) {
         std::fprintf(stderr, "tart-node: bad --gauge-interval-ms\n");
-        return usage();
-      }
-    } else if (arg.rfind("--push=", 0) == 0) {
-      std::string spec = arg.substr(std::strlen("--push="));
-      if (const auto comma = spec.rfind(','); comma != std::string::npos) {
-        options.push_interval_ms = std::atoi(spec.c_str() + comma + 1);
-        spec.resize(comma);
-        if (options.push_interval_ms <= 0) {
-          std::fprintf(stderr, "tart-node: bad --push interval\n");
-          return usage();
-        }
-      }
-      options.push_addr = spec;
-      if (options.push_addr.find(':') == std::string::npos) {
-        std::fprintf(stderr, "tart-node: --push needs HOST:PORT\n");
         return usage();
       }
     } else if (arg == "--durable") {
@@ -191,10 +163,8 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, on_signal);
     host.start();
     std::fprintf(stderr,
-                 "tart-node: partition '%s' up (data :%u, control :%u, "
-                 "http :%u)\n",
-                 partition.c_str(), host.data_port(), host.control_port(),
-                 host.http_port());
+                 "tart-node: partition '%s' up (data :%u, http :%u)\n",
+                 partition.c_str(), host.data_port(), host.http_port());
     const int rc = host.run_until_shutdown();
     g_host = nullptr;
     return rc;

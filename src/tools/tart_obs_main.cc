@@ -1,28 +1,29 @@
 // tart-obs: cluster-wide observability console.
 //
 //   tart-obs [--once] [--interval-ms=N] [--series=FILE] [--strict]
-//            [--listen=ADDR|PORT] [<control-addr>...]
-//   tart-obs top [--once] [--interval-ms=N] <control-addr>...
+//            <http-addr>...
+//   tart-obs top [--once] [--interval-ms=N] [--strict] <http-addr>...
 //   tart-obs --scrape <http-addr>...
+//
+// Every mode talks to the nodes' HTTP gateways (`tart-node --http`). The
+// console and `top` poll GET /obs: one node's merged MetricsSnapshot, its
+// telemetry registry samples (labelled counters and histograms) and its
+// silence wavefront with placement, serde-encoded (obs/codec.h).
+//
+// The console prints one aggregated per-component table: messages
+// processed, pessimism events, stall percentiles (all input wires of the
+// component merged), curiosity probes, and the estimator-error median.
+// Components currently *held* by the pessimistic merge are listed below the
+// table with the wires blocking them — the operator's answer to "why is
+// nothing happening?". A `placement:` section follows when the nodes run a
+// placement plane: component -> owning node, the placement epoch, and any
+// live migration in flight (docs/PLACEMENT.md).
 //
 // `top` mode is the hot-path profiler's live view (src/obs/prof.h): one
 // line per node with event-loop busy %, loop-lag p99, and profiled thread
 // count, then the top spans by self-time aggregated across the fleet —
-// where wall-clock time actually goes, refreshed in place. The data rides
-// the same kGetObs sample shipment as the main console (the registry sweep
-// harvests tart_prof_* cells), so no extra wire protocol is involved.
-//
-// Control mode (default) polls every node's control port for its merged
-// MetricsSnapshot, its telemetry registry samples (labelled counters and
-// histograms), and its silence wavefront, then prints one aggregated
-// per-component table: messages processed, pessimism events, stall
-// percentiles (all input wires of the component merged), curiosity probes,
-// and the estimator-error median. Components currently *held* by the
-// pessimistic merge are listed below the table with the wires blocking
-// them — the operator's answer to "why is nothing happening?". A
-// `placement:` section follows when the nodes run a placement plane:
-// component -> owning node, the placement epoch, and any live migration
-// in flight (docs/PLACEMENT.md).
+// where wall-clock time actually goes, refreshed in place. The registry
+// sweep harvests the tart_prof_* cells, so they ride the same /obs poll.
 //
 // Counters SUM across nodes, gauges take the max (high-water semantics),
 // and histograms merge bucketwise (obs::merge_samples), so the table reads
@@ -32,47 +33,36 @@
 // console must keep rendering the nodes that ARE up while one restarts.
 // Exit status reflects down nodes only under --strict (for scripts).
 //
-// --listen=ADDR accepts push-based remote writes (tart-node --push): nodes
-// that cannot be dialed ship kObsPush envelopes instead, and their samples
-// enter the very same SUM/MAX/bucketwise merge as polled nodes. Polling
-// and pushing can be mixed freely; a node heard from both ways would be
-// double-counted, so point --push at nodes the console does not poll.
+// --series=FILE appends one JSONL line per poll round
+// (obs::render_series_line) for offline plotting.
 //
-// --series=FILE appends one JSONL line per poll round (same shape as the
-// node-side --sample file) for offline plotting.
-//
-// --scrape mode drives the HTTP gateway instead: GET /metrics must lint
+// --scrape mode checks the text surfaces instead: GET /metrics must lint
 // clean against the Prometheus conventions (obs::lint_exposition) and
 // contain the per-wire stall-attribution family; GET /status must parse.
 // scripts/net_soak.sh runs this against live nodes mid-soak. Exit is
 // nonzero on any failure, so it doubles as a health gate.
-#include <poll.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <algorithm>
-#include <atomic>
-#include <cerrno>
-#include <chrono>
 #include <limits>
 #include <map>
-#include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "gateway/http_client.h"
-#include "net/control.h"
-#include "net/socket.h"
-#include "net/wire_format.h"
+#include "obs/codec.h"
 #include "obs/exposition.h"
 #include "obs/registry.h"
-#include "obs/sampler.h"
 
 namespace {
 
@@ -88,138 +78,29 @@ void on_signal(int) { g_stop.store(true); }
 int usage() {
   std::fprintf(stderr,
                "usage: tart-obs [--once] [--interval-ms=N] [--series=FILE] "
-               "[--strict] [--listen=ADDR|PORT] [<control-addr>...]\n"
-               "       tart-obs top [--once] [--interval-ms=N] "
-               "<control-addr>...\n"
+               "[--strict] <http-addr>...\n"
+               "       tart-obs top [--once] [--interval-ms=N] [--strict] "
+               "<http-addr>...\n"
                "       tart-obs --scrape <http-addr>...\n");
   return 2;
 }
 
-/// Collector side of push-based remote write: accepts kObsPush envelopes
-/// from `tart-node --push` and keeps the latest shipment per node. Threads
-/// are detached and the server is leaked — it lives exactly as long as the
-/// process, like the signal handlers.
-class PushServer {
- public:
-  struct Shipment {
-    std::chrono::steady_clock::time_point received;
-    MetricsSnapshot metrics;
-    std::vector<tart::obs::Sample> samples;
-  };
-
-  bool start(const std::string& spec) {
-    const std::string full =
-        spec.find(':') == std::string::npos ? "0.0.0.0:" + spec : spec;
-    const auto addr = tart::net::SockAddr::parse(full);
-    if (!addr) {
-      std::fprintf(stderr, "tart-obs: bad --listen address '%s'\n",
-                   spec.c_str());
-      return false;
-    }
-    std::string err;
-    listener_ = tart::net::listen_tcp(*addr, &err);
-    if (!listener_.valid()) {
-      std::fprintf(stderr, "tart-obs: listen on %s failed: %s\n",
-                   full.c_str(), err.c_str());
-      return false;
-    }
-    port_ = tart::net::local_port(listener_.get());
-    std::thread([this] { accept_loop(); }).detach();
-    return true;
+/// One GET /obs round-trip. nullopt (reason on stderr when the node
+/// answered at all) means the node counts as down this round.
+std::optional<tart::obs::NodeObs> poll_node(const std::string& addr) {
+  auto client = tart::gateway::BlockingHttpClient::connect(
+      addr, std::chrono::seconds(2));
+  if (!client) return std::nullopt;
+  try {
+    const auto resp = client->get("/obs");
+    if (resp.status != 200)
+      throw std::runtime_error("GET /obs -> " + std::to_string(resp.status));
+    return tart::obs::decode_node_obs(resp.body);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "tart-obs: %s: %s\n", addr.c_str(), e.what());
+    return std::nullopt;
   }
-
-  [[nodiscard]] std::uint16_t port() const { return port_; }
-
-  /// Latest shipment per node, dropping nodes silent longer than max_age.
-  [[nodiscard]] std::map<std::string, Shipment> fresh(
-      std::chrono::milliseconds max_age) const {
-    const auto now = std::chrono::steady_clock::now();
-    const std::lock_guard<std::mutex> lk(mu_);
-    std::map<std::string, Shipment> out;
-    for (const auto& [node, shipment] : by_node_)
-      if (now - shipment.received <= max_age) out.emplace(node, shipment);
-    return out;
-  }
-
- private:
-  void accept_loop() {
-    while (!g_stop.load()) {
-      pollfd p{listener_.get(), POLLIN, 0};
-      if (::poll(&p, 1, 200) <= 0) continue;
-      tart::net::Fd fd = tart::net::accept_tcp(listener_.get());
-      if (!fd.valid()) continue;
-      std::thread([this, shared = std::make_shared<tart::net::Fd>(
-                             std::move(fd))]() mutable {
-        serve(std::move(*shared));
-      }).detach();
-    }
-  }
-
-  static void write_all(int fd, const std::vector<std::byte>& bytes) {
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-      const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-      if (n > 0) {
-        off += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        pollfd p{fd, POLLOUT, 0};
-        (void)::poll(&p, 1, 1000);
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      throw tart::net::NetError("push: write failed");
-    }
-  }
-
-  void serve(tart::net::Fd fd) {
-    tart::net::StreamDecoder decoder;
-    try {
-      while (!g_stop.load()) {
-        while (auto msg = decoder.next()) {
-          if (msg->type != tart::net::NetMsgType::kObsPush) {
-            write_all(fd.get(),
-                      tart::net::encode_message(
-                          tart::net::NetMsgType::kError,
-                          tart::net::encode_string_body(
-                              "expected obs-push")));
-            continue;
-          }
-          auto body = tart::net::ObsPushBody::decode(msg->payload);
-          {
-            const std::lock_guard<std::mutex> lk(mu_);
-            Shipment& s = by_node_[body.node];
-            s.received = std::chrono::steady_clock::now();
-            s.metrics = body.metrics;
-            s.samples = std::move(body.samples);
-          }
-          write_all(fd.get(), tart::net::encode_message(
-                                  tart::net::NetMsgType::kAck, {}));
-        }
-        pollfd p{fd.get(), POLLIN, 0};
-        if (::poll(&p, 1, 200) <= 0) continue;
-        std::byte buf[16384];
-        const ssize_t n = ::read(fd.get(), buf, sizeof(buf));
-        if (n == 0) return;
-        if (n < 0) {
-          if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
-            continue;
-          return;
-        }
-        decoder.feed(buf, static_cast<std::size_t>(n));
-      }
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "tart-obs: push connection dropped: %s\n",
-                   e.what());
-    }
-  }
-
-  tart::net::Fd listener_;
-  std::uint16_t port_ = 0;
-  mutable std::mutex mu_;
-  std::map<std::string, Shipment> by_node_;
-};
+}
 
 const std::string* label_of(const tart::obs::Sample& s, const char* key) {
   for (const auto& l : s.labels)
@@ -555,20 +436,13 @@ int run_top_mode(const std::vector<std::string>& addrs, bool once,
     std::vector<std::pair<std::string, NodeProfile>> nodes;
     std::vector<std::string> down;
     for (const std::string& addr : addrs) {
-      auto client =
-          tart::net::ControlClient::connect(addr, std::chrono::seconds(2));
-      if (!client) {
+      auto node = poll_node(addr);
+      if (!node) {
         down.push_back(addr);
         continue;
       }
-      try {
-        auto samples = client->obs_samples();
-        nodes.emplace_back(addr, node_profile(samples));
-        per_node.push_back(std::move(samples));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "tart-obs: %s: %s\n", addr.c_str(), e.what());
-        down.push_back(addr);
-      }
+      nodes.emplace_back(addr, node_profile(node->samples));
+      per_node.push_back(std::move(node->samples));
     }
     if (!down.empty()) any_down = true;
 
@@ -586,9 +460,9 @@ int run_top_mode(const std::vector<std::string>& addrs, bool once,
   return strict && any_down ? 1 : 0;
 }
 
-int run_control_mode(const std::vector<std::string>& addrs, bool once,
+int run_console_mode(const std::vector<std::string>& addrs, bool once,
                      int interval_ms, const std::string& series_path,
-                     bool strict, PushServer* push) {
+                     bool strict) {
   std::FILE* series = nullptr;
   if (!series_path.empty()) {
     series = std::fopen(series_path.c_str(), "ae");
@@ -608,40 +482,20 @@ int run_control_mode(const std::vector<std::string>& addrs, bool once,
     std::vector<std::vector<tart::obs::Sample>> per_node;
     std::vector<std::pair<std::string, StatusReport>> reports;
     std::vector<std::string> down;
-    std::size_t reachable = 0;
     for (const std::string& addr : addrs) {
-      auto client =
-          tart::net::ControlClient::connect(addr, std::chrono::seconds(2));
-      if (!client) {
+      auto node = poll_node(addr);
+      if (!node) {
         down.push_back(addr);
         continue;
       }
-      try {
-        total += client->metrics();
-        per_node.push_back(client->obs_samples());
-        reports.emplace_back(addr, client->status());
-        ++reachable;
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "tart-obs: %s: %s\n", addr.c_str(), e.what());
-        down.push_back(addr);
-      }
+      total += node->metrics;
+      per_node.push_back(std::move(node->samples));
+      reports.emplace_back(addr, std::move(node->status));
     }
     if (!down.empty()) any_down = true;
+    const std::size_t reachable = reports.size();
 
-    // Pushed nodes join the round exactly like polled ones (fresh within
-    // 3 display intervals, floor 5 s, so one missed push is not a flap).
-    std::size_t pushed = 0;
-    if (push != nullptr) {
-      const auto max_age = std::chrono::milliseconds(
-          std::max(3 * interval_ms, 5000));
-      for (auto& [node, shipment] : push->fresh(max_age)) {
-        total += shipment.metrics;
-        per_node.push_back(std::move(shipment.samples));
-        ++pushed;
-      }
-    }
-
-    if (reachable + pushed == 0) {
+    if (reachable == 0) {
       std::printf("== 0/%zu nodes ==\n", addrs.size());
       for (const std::string& addr : down)
         std::printf("  %-24s down\n", addr.c_str());
@@ -651,12 +505,8 @@ int run_control_mode(const std::vector<std::string>& addrs, bool once,
     }
 
     const auto merged = tart::obs::merge_samples(std::move(per_node));
-    if (pushed > 0)
-      std::printf("== %zu/%zu node%s polled, %zu pushed ==\n", reachable,
-                  addrs.size(), addrs.size() == 1 ? "" : "s", pushed);
-    else
-      std::printf("== %zu/%zu node%s ==\n", reachable, addrs.size(),
-                  addrs.size() == 1 ? "" : "s");
+    std::printf("== %zu/%zu node%s ==\n", reachable, addrs.size(),
+                addrs.size() == 1 ? "" : "s");
     for (const std::string& addr : down)
       std::printf("  %-24s down\n", addr.c_str());
     print_rows(build_rows(merged));
@@ -671,7 +521,7 @@ int run_control_mode(const std::vector<std::string>& addrs, bool once,
                              std::chrono::system_clock::now().time_since_epoch())
                              .count();
       const std::string line =
-          tart::obs::Sampler::render_line(ts_ms, total, merged);
+          tart::obs::render_series_line(ts_ms, total, merged);
       std::fwrite(line.data(), 1, line.size(), series);
       std::fflush(series);
     }
@@ -752,7 +602,6 @@ int main(int argc, char** argv) {
   bool top = false;
   int interval_ms = 2000;
   std::string series_path;
-  std::string listen_spec;
   std::vector<std::string> addrs;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -769,8 +618,6 @@ int main(int argc, char** argv) {
       if (interval_ms <= 0) return usage();
     } else if (arg.rfind("--series=", 0) == 0) {
       series_path = arg.substr(std::strlen("--series="));
-    } else if (arg.rfind("--listen=", 0) == 0) {
-      listen_spec = arg.substr(std::strlen("--listen="));
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "tart-obs: unknown argument '%s'\n", arg.c_str());
       return usage();
@@ -778,23 +625,12 @@ int main(int argc, char** argv) {
       addrs.push_back(arg);
     }
   }
-  if (scrape && (addrs.empty() || !listen_spec.empty() || top))
-    return usage();
-  if (top && (addrs.empty() || !listen_spec.empty())) return usage();
-  if (addrs.empty() && listen_spec.empty()) return usage();
+  if (addrs.empty() || (scrape && top)) return usage();
 
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
 
   if (scrape) return run_scrape_mode(addrs);
   if (top) return run_top_mode(addrs, once, interval_ms, strict);
-
-  PushServer* push = nullptr;
-  if (!listen_spec.empty()) {
-    push = new PushServer();  // leaked deliberately: detached accept thread
-    if (!push->start(listen_spec)) return 1;
-    std::printf("tart-obs: accepting pushes on :%u\n", push->port());
-  }
-  return run_control_mode(addrs, once, interval_ms, series_path, strict,
-                          push);
+  return run_console_mode(addrs, once, interval_ms, series_path, strict);
 }

@@ -1,5 +1,5 @@
 // HTTP-only end-to-end over real processes: the ingress gateway's two big
-// promises, checked against forked tart-node / tart-gateway binaries.
+// promises, checked against forked tart-node binaries.
 //
 //   1. Placement transparency through the HTTP face: a two-node wordcount
 //      deployment driven ONLY over HTTP (inject, drain, fetch outputs)
@@ -7,20 +7,17 @@
 //      including after SIGKILL-ing the ingress node mid-run and cold
 //      restarting it over the same log directory (§II.F).
 //   2. Log-before-ack under a crash DURING ingest: concurrent clients blast
-//      unique tokens at a tart-gateway while it is SIGKILLed mid-load.
+//      unique tokens at a one-partition tart-node while it is SIGKILLed
+//      mid-load.
 //      After restart + replay, every acked token is present exactly once
 //      and every un-acked token is absent or present once — never
 //      duplicated, because the ack is issued only after the fsync.
 #include <gtest/gtest.h>
-#include <signal.h>
 #include <sys/stat.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -31,80 +28,15 @@
 #include "apps/wordcount.h"
 #include "core/runtime.h"
 #include "gateway/http_client.h"
-#include "net/socket.h"
 #include "net/topologies.h"
+#include "node_http.h"
 
 using namespace tart;
+using namespace tart::nodetest;
 using namespace std::chrono_literals;
 using gateway::BlockingHttpClient;
 
 namespace {
-
-std::uint16_t free_port() {
-  std::string err;
-  net::Fd fd = net::listen_tcp(*net::SockAddr::parse("127.0.0.1:0"), &err);
-  EXPECT_TRUE(fd.valid()) << err;
-  return net::local_port(fd.get());
-}
-
-std::string make_temp_dir() {
-  char tmpl[] = "/tmp/tart_gw_XXXXXX";
-  const char* dir = mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << content;
-}
-
-/// One forked child running `binary args...`. SIGKILLs on destruction
-/// unless reaped first.
-class Proc {
- public:
-  Proc(const char* binary, std::vector<std::string> args) {
-    args.insert(args.begin(), binary);
-    pid_ = fork();
-    if (pid_ == 0) {
-      std::vector<char*> argv;
-      argv.reserve(args.size() + 1);
-      for (auto& a : args) argv.push_back(a.data());
-      argv.push_back(nullptr);
-      execv(binary, argv.data());
-      _exit(127);
-    }
-  }
-
-  ~Proc() {
-    if (pid_ > 0) {
-      ::kill(pid_, SIGKILL);
-      (void)reap();
-    }
-  }
-
-  void kill9() const { ASSERT_EQ(::kill(pid_, SIGKILL), 0); }
-
-  int reap() {
-    if (pid_ <= 0) return -1;
-    int status = 0;
-    waitpid(pid_, &status, 0);
-    pid_ = -1;
-    return status;
-  }
-
- private:
-  pid_t pid_ = -1;
-};
-
-BlockingHttpClient http_or_die(const std::string& addr) {
-  auto client = BlockingHttpClient::connect(addr, 15s);
-  if (!client) {
-    ADD_FAILURE() << "http connect to " << addr << " timed out";
-    std::abort();
-  }
-  return std::move(*client);
-}
 
 /// Sums every sample of a Prometheus family in a /metrics body — labelled
 /// ("tart_<name>{component=\"x\"} 3") and unlabelled ("tart_<name> 3")
@@ -124,39 +56,6 @@ std::uint64_t metric(const std::string& body, const std::string& name) {
         std::strtoull(line.c_str() + sp + 1, nullptr, 10));
   }
   return total;
-}
-
-struct OutputLine {
-  std::int64_t vt;
-  bool stutter;
-  std::string payload;
-  bool operator==(const OutputLine&) const = default;
-};
-
-/// Parses a GET /outputs body: one "vt\tstutter\torigin\tpayload" line per
-/// record. The origin column (the originating ingest's WIRE:SEQ lineage
-/// tag, "-" when unstamped) must be well-formed but is dropped from the
-/// comparison value: origins name gateway log positions, which differ
-/// between a live run and its recovery replay while vt/payload must not.
-std::vector<OutputLine> parse_outputs(const std::string& body) {
-  std::vector<OutputLine> lines;
-  std::istringstream in(body);
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto t1 = line.find('\t');
-    const auto t2 = line.find('\t', t1 + 1);
-    const auto t3 = line.find('\t', t2 + 1);
-    EXPECT_NE(t1, std::string::npos) << line;
-    EXPECT_NE(t2, std::string::npos) << line;
-    EXPECT_NE(t3, std::string::npos) << line;
-    const std::string origin = line.substr(t2 + 1, t3 - t2 - 1);
-    EXPECT_TRUE(origin == "-" || origin.find(':') != std::string::npos)
-        << line;
-    lines.push_back({std::stoll(line.substr(0, t1)),
-                     line.substr(t1 + 1, t2 - t1 - 1) == "1",
-                     line.substr(t3 + 1)});
-  }
-  return lines;
 }
 
 std::vector<OutputLine> fresh_only(std::vector<OutputLine> lines) {
@@ -217,39 +116,10 @@ std::vector<OutputLine> baseline(const std::vector<Step>& steps) {
   return out;
 }
 
-struct HttpDeployment {
-  std::string config_path;
-  std::string left_http;
-  std::string right_http;
-};
-
-HttpDeployment write_deployment(const std::string& dir) {
-  const auto p = [] { return std::to_string(free_port()); };
-  HttpDeployment d;
-  d.left_http = "127.0.0.1:" + p();
-  d.right_http = "127.0.0.1:" + p();
-  d.config_path = dir + "/deploy.conf";
-  write_file(d.config_path,
-             "topology = wordcount\n"
-             "param senders = 2\n"
-             "partition left = 127.0.0.1:" + p() +
-             "\ncontrol left = 127.0.0.1:" + p() +
-             "\npartition right = 127.0.0.1:" + p() +
-             "\ncontrol right = 127.0.0.1:" + p() +
-             "\nplace sender1 = left\n"
-             "place sender2 = left\n"
-             "place merger = right\n");
-  return d;
-}
-
-std::vector<std::string> node_args(const HttpDeployment& d,
-                                   const std::string& partition,
-                                   const std::string& log_dir) {
-  std::vector<std::string> args = {d.config_path, partition};
-  args.push_back("--http=" +
-                 (partition == "left" ? d.left_http : d.right_http));
-  if (!log_dir.empty()) args.push_back("--log-dir=" + log_dir);
-  return args;
+Deployment write_deployment(const std::string& dir) {
+  return nodetest::write_deployment(
+      dir, "topology = wordcount\nparam senders = 2\n", {"left", "right"},
+      {{"sender1", "left"}, {"sender2", "left"}, {"merger", "right"}});
 }
 
 void inject_over_http(BlockingHttpClient& http, const Step& s) {
@@ -266,18 +136,21 @@ TEST(GatewayProcessTest, HttpOnlyWordcountMatchesBaselineAndSurvivesSigkill) {
   const auto steps = make_script(60);
   const std::vector<OutputLine> expected = baseline(steps);
   ASSERT_FALSE(expected.empty());
-  const std::string dir = make_temp_dir();
+  const std::string dir = make_temp_dir("tart_gw");
 
   // --- Run 1: clean two-node run, driven entirely over HTTP ----------------
   std::vector<OutputLine> clean_out;
   {
-    const HttpDeployment d = write_deployment(dir);
+    const Deployment d = write_deployment(dir);
     ASSERT_EQ(mkdir((dir + "/clean_left").c_str(), 0755), 0);
-    Proc left(TART_NODE_BIN, node_args(d, "left", dir + "/clean_left"));
-    Proc right(TART_NODE_BIN, node_args(d, "right", ""));
+    NodeProc left(d, "left", {"--log-dir=" + dir + "/clean_left"});
+    NodeProc right(d, "right", {});
 
-    auto left_http = http_or_die(d.left_http);
-    auto right_http = http_or_die(d.right_http);
+    auto left_node = connect_node(d.http.at("left"));
+    auto right_node = connect_node(d.http.at("right"));
+    ASSERT_TRUE(left_node && right_node);
+    BlockingHttpClient& left_http = left_node->http();
+    BlockingHttpClient& right_http = right_node->http();
     EXPECT_EQ(left_http.get("/healthz").status, 200);
     EXPECT_EQ(right_http.get("/healthz").status, 200);
     // The gateway serves only its partition's adaptable wires.
@@ -309,16 +182,20 @@ TEST(GatewayProcessTest, HttpOnlyWordcountMatchesBaselineAndSurvivesSigkill) {
   // --- Run 2: SIGKILL the ingress node mid-run, restart from its log ------
   std::vector<OutputLine> kill_out;
   {
-    const HttpDeployment d = write_deployment(dir);
+    const Deployment d = write_deployment(dir);
     const std::string log_dir = dir + "/kill_left";
     ASSERT_EQ(mkdir(log_dir.c_str(), 0755), 0);
-    Proc right(TART_NODE_BIN, node_args(d, "right", ""));
-    auto right_http = http_or_die(d.right_http);
+    NodeProc right(d, "right", {});
+    auto right_node = connect_node(d.http.at("right"));
+    ASSERT_TRUE(right_node);
+    BlockingHttpClient& right_http = right_node->http();
     const std::size_t half = steps.size() / 2;
 
     {
-      Proc left(TART_NODE_BIN, node_args(d, "left", log_dir));
-      auto left_http = http_or_die(d.left_http);
+      NodeProc left(d, "left", {"--log-dir=" + log_dir});
+      auto left_node = connect_node(d.http.at("left"));
+      ASSERT_TRUE(left_node);
+      BlockingHttpClient& left_http = left_node->http();
       for (std::size_t i = 0; i < half; ++i)
         inject_over_http(left_http, steps[i]);
       // Every first-half request was ACKED over HTTP, so each one is
@@ -336,8 +213,10 @@ TEST(GatewayProcessTest, HttpOnlyWordcountMatchesBaselineAndSurvivesSigkill) {
       left.reap();
     }
 
-    Proc left(TART_NODE_BIN, node_args(d, "left", log_dir));
-    auto left_http = http_or_die(d.left_http);
+    NodeProc left(d, "left", {"--log-dir=" + log_dir});
+    auto left_node = connect_node(d.http.at("left"));
+    ASSERT_TRUE(left_node);
+    BlockingHttpClient& left_http = left_node->http();
     for (std::size_t i = half; i < steps.size(); ++i)
       inject_over_http(left_http, steps[i]);
     ASSERT_EQ(left_http.post("/drain", "").status, 200);
@@ -357,13 +236,15 @@ TEST(GatewayProcessTest, HttpOnlyWordcountMatchesBaselineAndSurvivesSigkill) {
 // --- 2: crash DURING ingest — acked exactly once, un-acked absent-or-once ---
 
 TEST(GatewayProcessTest, CrashDuringIngestKeepsAckedExactlyOnce) {
-  const std::string dir = make_temp_dir();
+  const std::string dir = make_temp_dir("tart_gw");
   const std::string log_dir = dir + "/log";
   ASSERT_EQ(mkdir(log_dir.c_str(), 0755), 0);
-  const std::string addr = "127.0.0.1:" + std::to_string(free_port());
-  const std::vector<std::string> args = {"chain", "stages=2",
-                                         "--http=" + addr,
-                                         "--log-dir=" + log_dir};
+  // One partition hosting the whole chain: a single-process HTTP node.
+  const Deployment d = nodetest::write_deployment(
+      dir, "topology = chain\nparam stages = 2\n", {"solo"},
+      {{"stage1", "solo"}, {"stage2", "solo"}});
+  const std::string addr = d.http.at("solo");
+  const std::vector<std::string> args = {"--log-dir=" + log_dir};
 
   std::mutex mu;
   std::vector<std::string> acked;  // tokens whose 200 arrived
@@ -372,10 +253,11 @@ TEST(GatewayProcessTest, CrashDuringIngestKeepsAckedExactlyOnce) {
   std::atomic<bool> stop{false};
 
   {
-    Proc gw(TART_GATEWAY_BIN, args);
+    NodeProc gw(d, "solo", args);
     {
-      auto probe = http_or_die(addr);
-      ASSERT_EQ(probe.get("/healthz").status, 200);
+      auto probe = connect_node(addr);
+      ASSERT_TRUE(probe);
+      ASSERT_EQ(probe->http().get("/healthz").status, 200);
     }
 
     // Concurrent clients blast unique tokens until the server dies under
@@ -426,8 +308,10 @@ TEST(GatewayProcessTest, CrashDuringIngestKeepsAckedExactlyOnce) {
       << "the kill should have caught at least one request un-acked";
 
   // Cold restart over the same log: replay everything, then read outputs.
-  Proc gw(TART_GATEWAY_BIN, args);
-  auto http = http_or_die(addr);
+  NodeProc gw(d, "solo", args);
+  auto node = connect_node(addr);
+  ASSERT_TRUE(node);
+  BlockingHttpClient& http = node->http();
   ASSERT_EQ(http.post("/drain", "").status, 200);
   const auto lines = fresh_only(
       parse_outputs(http.get("/outputs/out?max=1000000").body));

@@ -16,8 +16,9 @@
 #include "core/runtime.h"
 #include "gateway/gateway.h"
 #include "gateway/http.h"
-#include "obs/exposition.h"
 #include "gateway/http_client.h"
+#include "obs/codec.h"
+#include "obs/exposition.h"
 #include "net/topologies.h"
 
 using namespace tart;
@@ -560,6 +561,37 @@ TEST_F(GatewayTest, StatusReportsSilenceWavefront) {
   EXPECT_NE(resp.body.find("\"components\":["), std::string::npos)
       << resp.body;
   EXPECT_NE(resp.body.find("\"inputs\":["), std::string::npos) << resp.body;
+}
+
+TEST_F(GatewayTest, ObsServesMetricsSamplesAndStatus) {
+  start();
+  auto c = client();
+  ASSERT_EQ(c.post("/inject/in?vt=1000", "o", "text/plain").status, 200);
+  const auto resp = c.get("/obs");
+  EXPECT_EQ(resp.status, 200);
+  const std::string* ct = resp.header("Content-Type");
+  ASSERT_NE(ct, nullptr);
+  EXPECT_EQ(*ct, tart::obs::kObsContentType);
+  const tart::obs::NodeObs node = tart::obs::decode_node_obs(resp.body);
+  EXPECT_EQ(node.metrics.gw_acked, 1u);  // gateway counters merged in
+  bool ack_histogram = false;
+  for (const auto& s : node.samples)
+    ack_histogram |= s.name == "tart_gw_ack_latency_seconds";
+  EXPECT_TRUE(ack_histogram);
+  EXPECT_EQ(node.status.components.size(), rt_->status().components.size());
+  EXPECT_EQ(c.post("/obs", "").status, 405);
+}
+
+// Regression: shutdown used to publish its stop flag without the
+// committer's mutex, so a committer between its predicate check and its
+// wait missed the wake-up and join() hung. Stopping right after start hits
+// that window.
+TEST_F(GatewayTest, ShutdownRightAfterStartNeverHangs) {
+  start();
+  for (int i = 0; i < 300; ++i) {
+    gateway::Gateway gw(rt_.get(), {}, app_.built.inputs, app_.built.outputs);
+    gw.shutdown();
+  }
 }
 
 TEST_F(GatewayTest, ConcurrentClientsGroupCommitAndAllAck) {

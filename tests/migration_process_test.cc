@@ -19,14 +19,10 @@
 //      placement epoch and the HELLO handshake must accept the link
 //      (topology fingerprints match) and synchronize placement, not refuse.
 #include <gtest/gtest.h>
-#include <signal.h>
 #include <sys/stat.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <chrono>
-#include <cstdlib>
-#include <fstream>
+#include <cstdio>
 #include <functional>
 #include <optional>
 #include <string>
@@ -35,13 +31,13 @@
 
 #include "apps/wordcount.h"
 #include "core/runtime.h"
-#include "net/control.h"
-#include "net/socket.h"
 #include "net/topologies.h"
+#include "node_http.h"
 #include "trace/lineage.h"
 #include "trace/trace_file.h"
 
 using namespace tart;
+using namespace tart::nodetest;
 using namespace std::chrono_literals;
 
 namespace {
@@ -87,123 +83,19 @@ OutputStream baseline(const std::vector<Step>& steps) {
   return out;
 }
 
-std::uint16_t free_port() {
-  std::string err;
-  net::Fd fd = net::listen_tcp(*net::SockAddr::parse("127.0.0.1:0"), &err);
-  EXPECT_TRUE(fd.valid()) << err;
-  return net::local_port(fd.get());
-}
-
-std::string make_temp_dir() {
-  char tmpl[] = "/tmp/tart_mig_XXXXXX";
-  const char* dir = mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << content;
-}
-
-struct Deployment {
-  std::string config_path;
-  std::string left_control;
-  std::string mid_control;
-  std::string right_control;
-};
-
 /// left: sender1 + sender2 (the migration source). mid: empty (the
 /// migration target). right: merger (downstream observer, never killed).
 Deployment write_deployment(const std::string& dir) {
-  const auto p = [] { return std::to_string(free_port()); };
-  Deployment d;
-  d.left_control = "127.0.0.1:" + p();
-  d.mid_control = "127.0.0.1:" + p();
-  d.right_control = "127.0.0.1:" + p();
-  d.config_path = dir + "/deploy.conf";
-  write_file(d.config_path,
-             "topology = wordcount\n"
-             "param senders = 2\n"
-             "partition left = 127.0.0.1:" + p() + "\n"
-             "control left = " + d.left_control + "\n"
-             "partition mid = 127.0.0.1:" + p() + "\n"
-             "control mid = " + d.mid_control + "\n"
-             "partition right = 127.0.0.1:" + p() + "\n"
-             "control right = " + d.right_control + "\n"
-             "place sender1 = left\n"
-             "place sender2 = left\n"
-             "place merger = right\n");
-  return d;
+  return nodetest::write_deployment(
+      dir, "topology = wordcount\nparam senders = 2\n",
+      {"left", "mid", "right"},
+      {{"sender1", "left"}, {"sender2", "left"}, {"merger", "right"}});
 }
 
-class NodeProc {
- public:
-  NodeProc(const std::string& config, const std::string& partition,
-           const std::vector<std::string>& extra) {
-    std::vector<std::string> args = {TART_NODE_BIN, config, partition};
-    args.insert(args.end(), extra.begin(), extra.end());
-    pid_ = fork();
-    if (pid_ == 0) {
-      std::vector<char*> argv;
-      argv.reserve(args.size() + 1);
-      for (auto& a : args) argv.push_back(a.data());
-      argv.push_back(nullptr);
-      execv(TART_NODE_BIN, argv.data());
-      _exit(127);
-    }
-  }
-
-  ~NodeProc() {
-    if (pid_ > 0) {
-      ::kill(pid_, SIGKILL);
-      (void)reap();
-    }
-  }
-
-  void kill9() const { ASSERT_EQ(::kill(pid_, SIGKILL), 0); }
-
-  /// Waits and returns the exit code (-1: signaled or not exited).
-  int reap() {
-    if (pid_ <= 0) return -1;
-    int status = 0;
-    waitpid(pid_, &status, 0);
-    pid_ = -1;
-    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  }
-
-  /// Non-blocking reap. A dead child stays a zombie until waitpid, so
-  /// `kill(pid, 0)` keeps succeeding — this is the only reliable death
-  /// probe. Returns true once the child exited; *code gets the exit code
-  /// (-1: signaled).
-  bool try_reap(int* code) {
-    if (pid_ <= 0) return false;
-    int status = 0;
-    if (waitpid(pid_, &status, WNOHANG) != pid_) return false;
-    pid_ = -1;
-    *code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-    return true;
-  }
-
-  [[nodiscard]] pid_t pid() const { return pid_; }
-
- private:
-  pid_t pid_ = -1;
-};
-
-net::ControlClient connect_or_die(const std::string& addr) {
-  auto client = net::ControlClient::connect(addr, 20s);
-  if (!client) {
-    ADD_FAILURE() << "control connect to " << addr << " timed out";
-    std::abort();
-  }
-  return std::move(*client);
-}
-
-OutputStream fetch_outputs(net::ControlClient& client) {
+OutputStream fetch_outputs(NodeClient& client) {
   OutputStream out;
   for (const auto& rec : client.outputs("total"))
-    if (!rec.stutter) out.emplace_back(rec.vt, rec.payload.as_int());
+    if (!rec.stutter) out.emplace_back(rec.vt, std::stoll(rec.payload));
   return out;
 }
 
@@ -224,20 +116,8 @@ bool poll_until(std::chrono::milliseconds timeout,
   return pred();
 }
 
-int run_trace_diff(const std::string& a, const std::string& b) {
-  const pid_t pid = fork();
-  if (pid == 0) {
-    execl(TART_TRACE_BIN, TART_TRACE_BIN, "diff", a.c_str(), b.c_str(),
-          "--recovery", static_cast<char*>(nullptr));
-    _exit(127);
-  }
-  int status = 0;
-  waitpid(pid, &status, 0);
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
-
-void inject_step(net::ControlClient& ctl, const Step& s) {
-  EXPECT_EQ(ctl.inject(s.input, s.vt, apps::sentence(s.words)), s.vt);
+void inject_step(NodeClient& ctl, const Step& s) {
+  EXPECT_EQ(ctl.inject(s.input, s.vt, s.words), s.vt);
 }
 
 }  // namespace
@@ -248,7 +128,7 @@ TEST(MigrationProcessTest, LiveMigrationUnderLoadMatchesBaseline) {
   ASSERT_FALSE(expected.empty());
   const std::size_t half = steps.size() / 2;
 
-  const std::string dir = make_temp_dir();
+  const std::string dir = make_temp_dir("tart_mig");
   const std::string right_ref_trace = dir + "/right_ref.trace";
   const std::string right_mig_trace = dir + "/right_mig.trace";
   const std::string left_mig_trace = dir + "/left_mig.trace";
@@ -259,19 +139,20 @@ TEST(MigrationProcessTest, LiveMigrationUnderLoadMatchesBaseline) {
   {
     const Deployment d = write_deployment(dir);
     ASSERT_EQ(mkdir((dir + "/ref_left").c_str(), 0755), 0);
-    NodeProc left(d.config_path, "left", {"--log-dir=" + dir + "/ref_left"});
-    NodeProc mid(d.config_path, "mid", {});
-    NodeProc right(d.config_path, "right", {"--trace=" + right_ref_trace});
-    auto left_ctl = connect_or_die(d.left_control);
-    auto right_ctl = connect_or_die(d.right_control);
-    auto mid_ctl = connect_or_die(d.mid_control);
-    for (const auto& s : steps) inject_step(left_ctl, s);
-    ASSERT_TRUE(left_ctl.drain(30s));
-    ASSERT_TRUE(right_ctl.drain(30s));
-    ref_out = fetch_outputs(right_ctl);
-    left_ctl.shutdown_node();
-    mid_ctl.shutdown_node();
-    right_ctl.shutdown_node();
+    NodeProc left(d, "left", {"--log-dir=" + dir + "/ref_left"});
+    NodeProc mid(d, "mid", {});
+    NodeProc right(d, "right", {"--trace=" + right_ref_trace});
+    auto left_ctl = connect_node(d.http.at("left"));
+    auto right_ctl = connect_node(d.http.at("right"));
+    auto mid_ctl = connect_node(d.http.at("mid"));
+    ASSERT_TRUE(left_ctl && right_ctl && mid_ctl);
+    for (const auto& s : steps) inject_step(*left_ctl, s);
+    ASSERT_TRUE(left_ctl->drain(30s));
+    ASSERT_TRUE(right_ctl->drain(30s));
+    ref_out = fetch_outputs(*right_ctl);
+    left_ctl->shutdown_node();
+    mid_ctl->shutdown_node();
+    right_ctl->shutdown_node();
     EXPECT_EQ(left.reap(), 0);
     EXPECT_EQ(mid.reap(), 0);
     EXPECT_EQ(right.reap(), 0);
@@ -285,30 +166,43 @@ TEST(MigrationProcessTest, LiveMigrationUnderLoadMatchesBaseline) {
     const Deployment d = write_deployment(dir);
     ASSERT_EQ(mkdir((dir + "/mig_left").c_str(), 0755), 0);
     ASSERT_EQ(mkdir((dir + "/mig_mid").c_str(), 0755), 0);
-    NodeProc left(d.config_path, "left",
+    NodeProc left(d, "left",
                   {"--log-dir=" + dir + "/mig_left",
                    "--trace=" + left_mig_trace});
-    NodeProc mid(d.config_path, "mid",
+    NodeProc mid(d, "mid",
                  {"--log-dir=" + dir + "/mig_mid",
                   "--trace=" + mid_mig_trace});
-    NodeProc right(d.config_path, "right", {"--trace=" + right_mig_trace});
-    auto left_ctl = connect_or_die(d.left_control);
-    auto mid_ctl = connect_or_die(d.mid_control);
-    auto right_ctl = connect_or_die(d.right_control);
+    NodeProc right(d, "right", {"--trace=" + right_mig_trace});
+    auto left_ctl = connect_node(d.http.at("left"));
+    auto mid_ctl = connect_node(d.http.at("mid"));
+    auto right_ctl = connect_node(d.http.at("right"));
+    ASSERT_TRUE(left_ctl && mid_ctl && right_ctl);
 
-    for (std::size_t i = 0; i < half; ++i) inject_step(left_ctl, steps[i]);
+    for (std::size_t i = 0; i < half; ++i) inject_step(*left_ctl, steps[i]);
     // Let the stream reach the merger so the migration moves real state.
     ASSERT_TRUE(poll_until(10s, [&] {
-      return right_ctl.metrics().messages_processed >= half / 2;
+      return right_ctl->metrics().messages_processed >= half / 2;
     })) << "merger never saw the pre-migration prefix";
 
     // Migrate sender2 while sender1 keeps injecting: migration under load.
+    // Neither call may throw past the thread: an unjoined std::thread is
+    // std::terminate, which would orphan every child node.
     std::thread load([&] {
-      auto ctl = connect_or_die(d.left_control);
-      for (std::size_t i = half; i < steps.size(); ++i)
-        if (steps[i].input == "sender1") inject_step(ctl, steps[i]);
+      try {
+        auto ctl = connect_node(d.http.at("left"));
+        if (!ctl) return;
+        for (std::size_t i = half; i < steps.size(); ++i)
+          if (steps[i].input == "sender1") inject_step(*ctl, steps[i]);
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "load thread: " << e.what();
+      }
     });
-    const auto res = left_ctl.migrate("sender2", "mid");
+    MigrateResult res;
+    try {
+      res = left_ctl->migrate("sender2", "mid");
+    } catch (const std::exception& e) {
+      res.error = e.what();
+    }
     load.join();
     ASSERT_TRUE(res.ok) << res.error;
     EXPECT_EQ(res.epoch, 1u);
@@ -321,26 +215,26 @@ TEST(MigrationProcessTest, LiveMigrationUnderLoadMatchesBaseline) {
 
     // Ownership moved: mid hosts sender2 now, left does not.
     ASSERT_TRUE(poll_until(10s, [&] {
-      auto ls = left_ctl.status();
-      auto ms = mid_ctl.status();
+      auto ls = left_ctl->status();
+      auto ms = mid_ctl->status();
       return !hosts_component(ls, "sender2") && hosts_component(ms, "sender2");
     })) << "sender2 did not move to mid";
     // The epoch propagated to a node that took no part in the migration.
     ASSERT_TRUE(poll_until(10s, [&] {
-      return right_ctl.status().placement_epoch >= 1;
+      return right_ctl->status().placement_epoch >= 1;
     })) << "placement update never reached the downstream node";
 
     // The rest of sender2's script is served by the new owner.
     for (std::size_t i = half; i < steps.size(); ++i)
-      if (steps[i].input == "sender2") inject_step(mid_ctl, steps[i]);
+      if (steps[i].input == "sender2") inject_step(*mid_ctl, steps[i]);
 
-    ASSERT_TRUE(left_ctl.drain(30s));
-    ASSERT_TRUE(mid_ctl.drain(30s));
-    ASSERT_TRUE(right_ctl.drain(30s));
-    mig_out = fetch_outputs(right_ctl);
+    ASSERT_TRUE(left_ctl->drain(30s));
+    ASSERT_TRUE(mid_ctl->drain(30s));
+    ASSERT_TRUE(right_ctl->drain(30s));
+    mig_out = fetch_outputs(*right_ctl);
 
-    const auto lm = left_ctl.metrics();
-    const auto mm = mid_ctl.metrics();
+    const auto lm = left_ctl->metrics();
+    const auto mm = mid_ctl->metrics();
     EXPECT_EQ(lm.mig_started, 1u);
     EXPECT_EQ(lm.mig_completed, 1u);
     EXPECT_EQ(lm.mig_failed, 0u);
@@ -349,9 +243,9 @@ TEST(MigrationProcessTest, LiveMigrationUnderLoadMatchesBaseline) {
     EXPECT_EQ(mm.mig_adopted, 1u);
     EXPECT_GT(mm.mig_bytes_received, 0u);
 
-    left_ctl.shutdown_node();
-    mid_ctl.shutdown_node();
-    right_ctl.shutdown_node();
+    left_ctl->shutdown_node();
+    mid_ctl->shutdown_node();
+    right_ctl->shutdown_node();
     EXPECT_EQ(left.reap(), 0);
     EXPECT_EQ(mid.reap(), 0);
     EXPECT_EQ(right.reap(), 0);
@@ -400,7 +294,7 @@ void run_crash_scenario(const CrashScenario& sc) {
   const OutputStream expected = baseline(steps);
   const std::size_t half = steps.size() / 2;
 
-  const std::string dir = make_temp_dir();
+  const std::string dir = make_temp_dir("tart_mig");
   const Deployment d = write_deployment(dir);
   const std::string left_dir = dir + "/left";
   const std::string mid_dir = dir + "/mid";
@@ -412,31 +306,34 @@ void run_crash_scenario(const CrashScenario& sc) {
   std::vector<std::string> mid_flags = {"--log-dir=" + mid_dir};
   (sc.source_side ? left_flags : mid_flags).push_back(crash_flag);
 
-  NodeProc right(d.config_path, "right", {});
-  auto right_ctl = connect_or_die(d.right_control);
-  std::optional<NodeProc> left(std::in_place, d.config_path, "left",
+  NodeProc right(d, "right", {});
+  auto right_ctl = connect_node(d.http.at("right"));
+  ASSERT_TRUE(right_ctl);
+  std::optional<NodeProc> left(std::in_place, d, "left",
                                left_flags);
-  std::optional<NodeProc> mid(std::in_place, d.config_path, "mid", mid_flags);
+  std::optional<NodeProc> mid(std::in_place, d, "mid", mid_flags);
 
   {
-    auto left_ctl = connect_or_die(d.left_control);
-    connect_or_die(d.mid_control).ping();
-    for (std::size_t i = 0; i < half; ++i) inject_step(left_ctl, steps[i]);
+    auto left_ctl = connect_node(d.http.at("left"));
+    auto mid_ctl = connect_node(d.http.at("mid"));
+    ASSERT_TRUE(left_ctl && mid_ctl);
+    EXPECT_TRUE(mid_ctl->healthy());
+    for (std::size_t i = 0; i < half; ++i) inject_step(*left_ctl, steps[i]);
     ASSERT_TRUE(poll_until(10s, [&] {
-      return right_ctl.metrics().messages_processed >= half / 2;
+      return right_ctl->metrics().messages_processed >= half / 2;
     })) << "merger never saw the pre-crash prefix";
   }
 
   // Drive the migration from a thread: the injected crash kills one end
-  // mid-protocol, and the blocking control call must not hang the test.
+  // mid-protocol, and the blocking HTTP call must not hang the test.
   // Restarting the victim (below, WITHOUT the crash flag) is what lets the
   // surviving side resolve — so the call may only return after that.
   std::thread migrate_thread([&] {
     try {
-      auto ctl = connect_or_die(d.left_control);
-      (void)ctl.migrate("sender2", "mid");
+      auto ctl = connect_node(d.http.at("left"));
+      if (ctl) (void)ctl->migrate("sender2", "mid");
     } catch (const std::exception&) {
-      // Source death severs the control connection mid-request: expected.
+      // Source death severs the HTTP connection mid-request: expected.
     }
   });
 
@@ -457,10 +354,10 @@ void run_crash_scenario(const CrashScenario& sc) {
   }
   EXPECT_EQ(victim_code, 137);
   if (sc.source_side) {
-    left.emplace(d.config_path, "left",
+    left.emplace(d, "left",
                  std::vector<std::string>{"--log-dir=" + left_dir});
   } else {
-    mid.emplace(d.config_path, "mid",
+    mid.emplace(d, "mid",
                 std::vector<std::string>{"--log-dir=" + mid_dir});
   }
   migrate_thread.join();
@@ -469,12 +366,13 @@ void run_crash_scenario(const CrashScenario& sc) {
   // owner, whichever side died. (For cutover-commit this is the
   // mixed-epoch reconnect: the restarted source boots at a stale epoch and
   // the HELLO must accept the link and synchronize, not refuse it.)
-  auto left_ctl = connect_or_die(d.left_control);
-  auto mid_ctl = connect_or_die(d.mid_control);
+  auto left_ctl = connect_node(d.http.at("left"));
+  auto mid_ctl = connect_node(d.http.at("mid"));
+  ASSERT_TRUE(left_ctl && mid_ctl);
   std::string owner;
   ASSERT_TRUE(poll_until(30s, [&] {
-    auto ls = left_ctl.status();
-    auto ms = mid_ctl.status();
+    auto ls = left_ctl->status();
+    auto ms = mid_ctl->status();
     const bool on_left = hosts_component(ls, "sender2");
     const bool on_mid = hosts_component(ms, "sender2");
     if (on_left == on_mid) return false;  // zero or two owners: not settled
@@ -486,19 +384,19 @@ void run_crash_scenario(const CrashScenario& sc) {
   }
 
   // The remaining script drains through whoever owns each input now.
-  auto& sender2_ctl = owner == "left" ? left_ctl : mid_ctl;
+  NodeClient& sender2_ctl = owner == "left" ? *left_ctl : *mid_ctl;
   for (std::size_t i = half; i < steps.size(); ++i)
-    inject_step(steps[i].input == "sender2" ? sender2_ctl : left_ctl,
+    inject_step(steps[i].input == "sender2" ? sender2_ctl : *left_ctl,
                 steps[i]);
-  ASSERT_TRUE(left_ctl.drain(30s)) << "left never quiesced";
-  ASSERT_TRUE(mid_ctl.drain(30s)) << "mid never quiesced";
-  ASSERT_TRUE(right_ctl.drain(30s)) << "right never quiesced";
+  ASSERT_TRUE(left_ctl->drain(30s)) << "left never quiesced";
+  ASSERT_TRUE(mid_ctl->drain(30s)) << "mid never quiesced";
+  ASSERT_TRUE(right_ctl->drain(30s)) << "right never quiesced";
 
   // Exactly-once despite the kill: every acked input appears exactly once
   // in the output stream, byte-for-byte the baseline.
-  const OutputStream got = fetch_outputs(right_ctl);
+  const OutputStream got = fetch_outputs(*right_ctl);
   if (got != expected) {
-    auto dump = [](const char* n, net::ControlClient& c) {
+    auto dump = [](const char* n, NodeClient& c) {
       const auto m = c.metrics();
       std::fprintf(stderr,
                    "[diag %-5s] processed=%lu dup_discarded=%lu refused=%lu "
@@ -515,17 +413,17 @@ void run_crash_scenario(const CrashScenario& sc) {
         std::fprintf(stderr, " %s", comp.name.c_str());
       std::fprintf(stderr, "\n");
     };
-    dump("left", left_ctl);
-    dump("mid", mid_ctl);
-    dump("right", right_ctl);
+    dump("left", *left_ctl);
+    dump("mid", *mid_ctl);
+    dump("right", *right_ctl);
   }
   EXPECT_EQ(got, expected)
       << "output stream after crash at " << sc.stage
       << " diverged from baseline";
 
   // Still exactly one owner after the dust settled.
-  auto ls = left_ctl.status();
-  auto ms = mid_ctl.status();
+  auto ls = left_ctl->status();
+  auto ms = mid_ctl->status();
   EXPECT_NE(hosts_component(ls, "sender2"), hosts_component(ms, "sender2"));
 }
 

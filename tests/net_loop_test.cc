@@ -259,18 +259,19 @@ TEST(ConnectionManagerTest, DialerReconnectsAfterPeerRestart) {
   ConnectionManager b2(bo2, sink_b2.frame_handler(), sink_b2.link_handler());
   ASSERT_TRUE(eventually([&] { return a.peer_up("b"); }))
       << "dialer never recovered after peer came (back) up";
-  EXPECT_GE(sink_a2.up_count(), 1);
+  // peer_up() flips before the link handler runs: observers wait.
+  EXPECT_TRUE(eventually([&] { return sink_a2.up_count() >= 1; }));
 
   // Kill and restart the acceptor: a must notice the drop and redial.
   b2.shutdown();
   ASSERT_TRUE(eventually([&] { return !a.peer_up("b"); }));
-  EXPECT_GE(sink_a2.down_count(), 1);
+  EXPECT_TRUE(eventually([&] { return sink_a2.down_count() >= 1; }));
 
   Sink sink_b3;
   ConnectionManager b3(bo2, sink_b3.frame_handler(), sink_b3.link_handler());
   ASSERT_TRUE(eventually([&] { return a.peer_up("b"); }));
-  EXPECT_GE(a.counters().reconnects, 1u) << "second link-up must count as "
-                                            "a reconnect";
+  EXPECT_TRUE(eventually([&] { return a.counters().reconnects >= 1u; }))
+      << "second link-up must count as a reconnect";
   ASSERT_TRUE(a.send("b", probe(42)));
   ASSERT_TRUE(eventually([&] { return sink_b3.seen().size() == 1; }));
 

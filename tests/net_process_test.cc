@@ -2,8 +2,8 @@
 //
 // The wordcount topology is split across two nodes — "left" hosts the
 // senders (and the external inputs), "right" hosts the merger (and the
-// external output). The test drives the deployment through the control
-// protocol and checks the paper's end-to-end claim for real processes:
+// external output). The test drives the deployment through the nodes' HTTP
+// gateways and checks the paper's end-to-end claim for real processes:
 //
 //   1. a clean two-process run produces exactly the single-process
 //      baseline's output stream (placement-transparency);
@@ -18,23 +18,19 @@
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/stat.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <chrono>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/runtime.h"
 #include "apps/wordcount.h"
-#include "net/control.h"
-#include "net/socket.h"
+#include "core/runtime.h"
 #include "net/topologies.h"
+#include "node_http.h"
 
 using namespace tart;
+using namespace tart::nodetest;
 using namespace std::chrono_literals;
 
 namespace {
@@ -85,118 +81,21 @@ OutputStream baseline(const std::vector<Step>& steps) {
 
 // --- process plumbing -------------------------------------------------------
 
-std::uint16_t free_port() {
-  std::string err;
-  net::Fd fd = net::listen_tcp(*net::SockAddr::parse("127.0.0.1:0"), &err);
-  EXPECT_TRUE(fd.valid()) << err;
-  return net::local_port(fd.get());
-}
-
-std::string make_temp_dir() {
-  char tmpl[] = "/tmp/tart_net_XXXXXX";
-  const char* dir = mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << content;
-}
-
-struct Deployment {
-  std::string config_path;
-  std::string left_control;
-  std::string right_control;
-};
-
 Deployment write_deployment(const std::string& dir) {
-  const auto p = [] { return std::to_string(free_port()); };
-  Deployment d;
-  d.left_control = "127.0.0.1:" + p();
-  d.right_control = "127.0.0.1:" + p();
-  d.config_path = dir + "/deploy.conf";
-  write_file(d.config_path,
-             "# two-node wordcount split\n"
-             "topology = wordcount\n"
-             "param senders = 2\n"
-             "partition left = 127.0.0.1:" + p() + "\n"
-             "control left = " + d.left_control + "\n"
-             "partition right = 127.0.0.1:" + p() + "\n"
-             "control right = " + d.right_control + "\n"
-             "place sender1 = left\n"
-             "place sender2 = left\n"
-             "place merger = right\n");
-  return d;
+  return nodetest::write_deployment(
+      dir,
+      "# two-node wordcount split\n"
+      "topology = wordcount\n"
+      "param senders = 2\n",
+      {"left", "right"},
+      {{"sender1", "left"}, {"sender2", "left"}, {"merger", "right"}});
 }
 
-/// One tart-node child process. SIGKILLs on destruction unless reaped.
-class NodeProc {
- public:
-  NodeProc(const std::string& config, const std::string& partition,
-           const std::vector<std::string>& extra) {
-    std::vector<std::string> args = {TART_NODE_BIN, config, partition};
-    args.insert(args.end(), extra.begin(), extra.end());
-    pid_ = fork();
-    if (pid_ == 0) {
-      std::vector<char*> argv;
-      argv.reserve(args.size() + 1);
-      for (auto& a : args) argv.push_back(a.data());
-      argv.push_back(nullptr);
-      execv(TART_NODE_BIN, argv.data());
-      _exit(127);
-    }
-  }
-
-  ~NodeProc() {
-    if (pid_ > 0) {
-      ::kill(pid_, SIGKILL);
-      (void)reap();
-    }
-  }
-
-  void kill9() const { ASSERT_EQ(::kill(pid_, SIGKILL), 0); }
-
-  int reap() {
-    if (pid_ <= 0) return -1;
-    int status = 0;
-    waitpid(pid_, &status, 0);
-    pid_ = -1;
-    return status;
-  }
-
-  [[nodiscard]] pid_t pid() const { return pid_; }
-
- private:
-  pid_t pid_ = -1;
-};
-
-net::ControlClient connect_or_die(const std::string& addr) {
-  auto client = net::ControlClient::connect(addr, 15s);
-  if (!client) {
-    ADD_FAILURE() << "control connect to " << addr << " timed out";
-    std::abort();
-  }
-  return std::move(*client);
-}
-
-OutputStream fetch_outputs(net::ControlClient& client) {
+OutputStream fetch_outputs(NodeClient& client) {
   OutputStream out;
   for (const auto& rec : client.outputs("total"))
-    if (!rec.stutter) out.emplace_back(rec.vt, rec.payload.as_int());
+    if (!rec.stutter) out.emplace_back(rec.vt, std::stoll(rec.payload));
   return out;
-}
-
-int run_trace_diff(const std::string& a, const std::string& b) {
-  const pid_t pid = fork();
-  if (pid == 0) {
-    execl(TART_TRACE_BIN, TART_TRACE_BIN, "diff", a.c_str(), b.c_str(),
-          "--recovery", static_cast<char*>(nullptr));
-    _exit(127);
-  }
-  int status = 0;
-  waitpid(pid, &status, 0);
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
 }  // namespace
@@ -206,7 +105,7 @@ TEST(NetProcessTest, TwoProcessRunMatchesBaselineAndSurvivesSigkill) {
   const OutputStream expected = baseline(steps);
   ASSERT_FALSE(expected.empty());
 
-  const std::string dir = make_temp_dir();
+  const std::string dir = make_temp_dir("tart_net");
   const std::string right_clean_trace = dir + "/right_clean.trace";
   const std::string right_kill_trace = dir + "/right_kill.trace";
 
@@ -215,34 +114,33 @@ TEST(NetProcessTest, TwoProcessRunMatchesBaselineAndSurvivesSigkill) {
   {
     const Deployment d = write_deployment(dir);
     ASSERT_EQ(mkdir((dir + "/clean_left").c_str(), 0755), 0);
-    NodeProc left(d.config_path, "left", {"--log-dir=" + dir + "/clean_left"});
-    NodeProc right(d.config_path, "right",
-                   {"--trace=" + right_clean_trace});
+    NodeProc left(d, "left", {"--log-dir=" + dir + "/clean_left"});
+    NodeProc right(d, "right", {"--trace=" + right_clean_trace});
 
-    auto left_ctl = connect_or_die(d.left_control);
-    auto right_ctl = connect_or_die(d.right_control);
-    left_ctl.ping();
-    right_ctl.ping();
+    auto left_ctl = connect_node(d.http.at("left"));
+    auto right_ctl = connect_node(d.http.at("right"));
+    ASSERT_TRUE(left_ctl && right_ctl);
+    EXPECT_TRUE(left_ctl->healthy());
+    EXPECT_TRUE(right_ctl->healthy());
 
     for (const auto& s : steps)
-      EXPECT_EQ(left_ctl.inject(s.input, s.vt, apps::sentence(s.words)),
-                s.vt);
-    ASSERT_TRUE(left_ctl.drain(30s)) << "left never quiesced";
-    ASSERT_TRUE(right_ctl.drain(30s)) << "right never quiesced";
-    clean_out = fetch_outputs(right_ctl);
+      EXPECT_EQ(left_ctl->inject(s.input, s.vt, s.words), s.vt);
+    ASSERT_TRUE(left_ctl->drain(30s)) << "left never quiesced";
+    ASSERT_TRUE(right_ctl->drain(30s)) << "right never quiesced";
+    clean_out = fetch_outputs(*right_ctl);
 
     // Socket transport demonstrably carried the stream.
-    const auto lm = left_ctl.metrics();
-    const auto rm = right_ctl.metrics();
+    const auto lm = left_ctl->metrics();
+    const auto rm = right_ctl->metrics();
     EXPECT_GT(lm.net_frames_out, 0u);
     EXPECT_GT(lm.net_bytes_out, 0u);
     EXPECT_GT(rm.net_frames_in, 0u);
     EXPECT_GT(rm.net_bytes_in, 0u);
     EXPECT_EQ(rm.messages_processed, steps.size());
 
-    // Telemetry over control: the merger node reports its registry samples
+    // Telemetry over GET /obs: the merger node reports its registry samples
     // (per-component labelled counters) and its silence wavefront.
-    const auto samples = right_ctl.obs_samples();
+    const auto samples = right_ctl->obs_samples();
     bool merger_counter_seen = false;
     for (const auto& s : samples) {
       if (s.name != "tart_messages_processed_total") continue;
@@ -255,7 +153,7 @@ TEST(NetProcessTest, TwoProcessRunMatchesBaselineAndSurvivesSigkill) {
     EXPECT_TRUE(merger_counter_seen)
         << "no labelled merger counter in the obs dump";
 
-    const auto status = right_ctl.status();
+    const auto status = right_ctl->status();
     ASSERT_EQ(status.components.size(), 1u);  // only the merger is local
     EXPECT_EQ(status.components[0].name, "merger");
     EXPECT_FALSE(status.components[0].crashed);
@@ -265,8 +163,8 @@ TEST(NetProcessTest, TwoProcessRunMatchesBaselineAndSurvivesSigkill) {
     for (const auto& w : status.components[0].inputs)
       EXPECT_FALSE(w.blocking);
 
-    left_ctl.shutdown_node();
-    right_ctl.shutdown_node();
+    left_ctl->shutdown_node();
+    right_ctl->shutdown_node();
     EXPECT_EQ(left.reap(), 0);
     EXPECT_EQ(right.reap(), 0);
   }
@@ -279,17 +177,19 @@ TEST(NetProcessTest, TwoProcessRunMatchesBaselineAndSurvivesSigkill) {
     const Deployment d = write_deployment(dir);
     const std::string log_dir = dir + "/kill_left";
     ASSERT_EQ(mkdir(log_dir.c_str(), 0755), 0);
-    NodeProc right(d.config_path, "right", {"--trace=" + right_kill_trace});
-    auto right_ctl = connect_or_die(d.right_control);
+    NodeProc right(d, "right", {"--trace=" + right_kill_trace});
+    auto right_ctl = connect_node(d.http.at("right"));
+    ASSERT_TRUE(right_ctl);
     const std::size_t half = steps.size() / 2;
 
     {
-      NodeProc left(d.config_path, "left", {"--log-dir=" + log_dir});
-      auto left_ctl = connect_or_die(d.left_control);
+      NodeProc left(d, "left", {"--log-dir=" + log_dir});
+      auto left_ctl = connect_node(d.http.at("left"));
+      ASSERT_TRUE(left_ctl);
       for (std::size_t i = 0; i < half; ++i)
-        EXPECT_EQ(left_ctl.inject(steps[i].input, steps[i].vt,
-                                  apps::sentence(steps[i].words)),
-                  steps[i].vt);
+        EXPECT_EQ(
+            left_ctl->inject(steps[i].input, steps[i].vt, steps[i].words),
+            steps[i].vt);
       // Let the first half mostly reach the merger — otherwise the kill
       // can land before a single frame flushes and the replay produces no
       // duplicates to discard. "Mostly": the merger's dispatch frontier
@@ -299,7 +199,7 @@ TEST(NetProcessTest, TwoProcessRunMatchesBaselineAndSurvivesSigkill) {
       // counters, retention) is still volatile when the power goes out.
       const auto deadline = std::chrono::steady_clock::now() + 10s;
       std::uint64_t seen = 0;
-      while ((seen = right_ctl.metrics().messages_processed) < half / 2) {
+      while ((seen = right_ctl->metrics().messages_processed) < half / 2) {
         ASSERT_LT(std::chrono::steady_clock::now(), deadline)
             << "merger only processed " << seen << "/" << half
             << " before the kill window";
@@ -311,7 +211,7 @@ TEST(NetProcessTest, TwoProcessRunMatchesBaselineAndSurvivesSigkill) {
       // for. The right node must declare the link down by misses alone.
       ASSERT_EQ(::kill(left.pid(), SIGSTOP), 0);
       const auto hb_deadline = std::chrono::steady_clock::now() + 20s;
-      while (right_ctl.metrics().net_heartbeat_misses == 0) {
+      while (right_ctl->metrics().net_heartbeat_misses == 0) {
         ASSERT_LT(std::chrono::steady_clock::now(), hb_deadline)
             << "right never noticed the frozen peer";
         std::this_thread::sleep_for(20ms);
@@ -322,18 +222,19 @@ TEST(NetProcessTest, TwoProcessRunMatchesBaselineAndSurvivesSigkill) {
 
     // Cold restart over the same stable storage: the node replays its
     // logged inputs; the surviving merger discards the duplicates.
-    NodeProc left(d.config_path, "left", {"--log-dir=" + log_dir});
-    auto left_ctl = connect_or_die(d.left_control);
+    NodeProc left(d, "left", {"--log-dir=" + log_dir});
+    auto left_ctl = connect_node(d.http.at("left"));
+    ASSERT_TRUE(left_ctl);
     for (std::size_t i = half; i < steps.size(); ++i)
-      EXPECT_EQ(left_ctl.inject(steps[i].input, steps[i].vt,
-                                apps::sentence(steps[i].words)),
-                steps[i].vt);
-    ASSERT_TRUE(left_ctl.drain(30s)) << "restarted left never quiesced";
-    ASSERT_TRUE(right_ctl.drain(30s)) << "right never quiesced after kill";
-    kill_out = fetch_outputs(right_ctl);
+      EXPECT_EQ(
+          left_ctl->inject(steps[i].input, steps[i].vt, steps[i].words),
+          steps[i].vt);
+    ASSERT_TRUE(left_ctl->drain(30s)) << "restarted left never quiesced";
+    ASSERT_TRUE(right_ctl->drain(30s)) << "right never quiesced after kill";
+    kill_out = fetch_outputs(*right_ctl);
 
-    const auto lm = left_ctl.metrics();
-    const auto rm = right_ctl.metrics();
+    const auto lm = left_ctl->metrics();
+    const auto rm = right_ctl->metrics();
     EXPECT_GE(rm.net_reconnects, 1u)
         << "right must have re-accepted the restarted left";
     EXPECT_GT(rm.net_heartbeat_misses, 0u);
@@ -348,8 +249,8 @@ TEST(NetProcessTest, TwoProcessRunMatchesBaselineAndSurvivesSigkill) {
            "or refused frames";
     EXPECT_EQ(rm.messages_processed, steps.size());
 
-    left_ctl.shutdown_node();
-    right_ctl.shutdown_node();
+    left_ctl->shutdown_node();
+    right_ctl->shutdown_node();
     EXPECT_EQ(left.reap(), 0);
     EXPECT_EQ(right.reap(), 0);
   }
@@ -373,7 +274,7 @@ TEST(NetProcessTest, DurableCheckpointRestartMatchesBaseline) {
   const OutputStream expected = baseline(steps);
   ASSERT_FALSE(expected.empty());
 
-  const std::string dir = make_temp_dir();
+  const std::string dir = make_temp_dir("tart_net");
   const std::string right_clean_trace = dir + "/right_clean.trace";
   const std::string right_ckpt_trace = dir + "/right_ckpt.trace";
 
@@ -382,18 +283,18 @@ TEST(NetProcessTest, DurableCheckpointRestartMatchesBaseline) {
   {
     const Deployment d = write_deployment(dir);
     ASSERT_EQ(mkdir((dir + "/clean_left").c_str(), 0755), 0);
-    NodeProc left(d.config_path, "left", {"--log-dir=" + dir + "/clean_left"});
-    NodeProc right(d.config_path, "right", {"--trace=" + right_clean_trace});
-    auto left_ctl = connect_or_die(d.left_control);
-    auto right_ctl = connect_or_die(d.right_control);
+    NodeProc left(d, "left", {"--log-dir=" + dir + "/clean_left"});
+    NodeProc right(d, "right", {"--trace=" + right_clean_trace});
+    auto left_ctl = connect_node(d.http.at("left"));
+    auto right_ctl = connect_node(d.http.at("right"));
+    ASSERT_TRUE(left_ctl && right_ctl);
     for (const auto& s : steps)
-      EXPECT_EQ(left_ctl.inject(s.input, s.vt, apps::sentence(s.words)),
-                s.vt);
-    ASSERT_TRUE(left_ctl.drain(30s));
-    ASSERT_TRUE(right_ctl.drain(30s));
-    clean_out = fetch_outputs(right_ctl);
-    left_ctl.shutdown_node();
-    right_ctl.shutdown_node();
+      EXPECT_EQ(left_ctl->inject(s.input, s.vt, s.words), s.vt);
+    ASSERT_TRUE(left_ctl->drain(30s));
+    ASSERT_TRUE(right_ctl->drain(30s));
+    clean_out = fetch_outputs(*right_ctl);
+    left_ctl->shutdown_node();
+    right_ctl->shutdown_node();
     EXPECT_EQ(left.reap(), 0);
     EXPECT_EQ(right.reap(), 0);
   }
@@ -409,27 +310,29 @@ TEST(NetProcessTest, DurableCheckpointRestartMatchesBaseline) {
     // wholly-covered ones (log stays bounded, not just covered).
     const std::vector<std::string> durable_flags = {
         "--log-dir=" + log_dir, "--durable", "--segment-bytes=512"};
-    NodeProc right(d.config_path, "right", {"--trace=" + right_ckpt_trace});
-    auto right_ctl = connect_or_die(d.right_control);
+    NodeProc right(d, "right", {"--trace=" + right_ckpt_trace});
+    auto right_ctl = connect_node(d.http.at("right"));
+    ASSERT_TRUE(right_ctl);
     const std::size_t half = steps.size() / 2;
     const std::size_t kill_at = steps.size() * 3 / 4;
 
     {
-      NodeProc left(d.config_path, "left", durable_flags);
-      auto left_ctl = connect_or_die(d.left_control);
+      NodeProc left(d, "left", durable_flags);
+      auto left_ctl = connect_node(d.http.at("left"));
+      ASSERT_TRUE(left_ctl);
       for (std::size_t i = 0; i < half; ++i)
-        EXPECT_EQ(left_ctl.inject(steps[i].input, steps[i].vt,
-                                  apps::sentence(steps[i].words)),
-                  steps[i].vt);
+        EXPECT_EQ(
+            left_ctl->inject(steps[i].input, steps[i].vt, steps[i].words),
+            steps[i].vt);
       // The senders consume their logged inputs almost immediately; wait
       // until they have, so the forced checkpoint covers the whole prefix.
       const auto deadline = std::chrono::steady_clock::now() + 10s;
-      while (left_ctl.metrics().messages_processed < half) {
+      while (left_ctl->metrics().messages_processed < half) {
         ASSERT_LT(std::chrono::steady_clock::now(), deadline)
             << "left never consumed the pre-checkpoint prefix";
         std::this_thread::sleep_for(5ms);
       }
-      const auto ck = left_ctl.checkpoint();
+      const auto ck = left_ctl->checkpoint();
       ASSERT_TRUE(ck.ok) << ck.error;
       EXPECT_EQ(ck.covered_records, half);
       EXPECT_GT(ck.bytes, 0u);
@@ -438,9 +341,9 @@ TEST(NetProcessTest, DurableCheckpointRestartMatchesBaseline) {
 
       // A post-checkpoint suffix the restart will have to replay.
       for (std::size_t i = half; i < kill_at; ++i)
-        EXPECT_EQ(left_ctl.inject(steps[i].input, steps[i].vt,
-                                  apps::sentence(steps[i].words)),
-                  steps[i].vt);
+        EXPECT_EQ(
+            left_ctl->inject(steps[i].input, steps[i].vt, steps[i].words),
+            steps[i].vt);
       // log-before-ack: every acked injection above is already durable, so
       // the kill can land immediately.
       left.kill9();
@@ -448,35 +351,36 @@ TEST(NetProcessTest, DurableCheckpointRestartMatchesBaseline) {
     }
 
     // Tiered restart over the same stable storage.
-    NodeProc left(d.config_path, "left", durable_flags);
-    auto left_ctl = connect_or_die(d.left_control);
+    NodeProc left(d, "left", durable_flags);
+    auto left_ctl = connect_node(d.http.at("left"));
+    ASSERT_TRUE(left_ctl);
     const auto deadline = std::chrono::steady_clock::now() + 10s;
-    while (left_ctl.metrics().restart_covered_records == 0) {
+    while (left_ctl->metrics().restart_covered_records == 0) {
       ASSERT_LT(std::chrono::steady_clock::now(), deadline)
           << "restarted left never reported a checkpoint-covered restart";
       std::this_thread::sleep_for(5ms);
     }
-    const auto lm = left_ctl.metrics();
+    const auto lm = left_ctl->metrics();
     EXPECT_EQ(lm.restart_covered_records, half)
         << "restart should skip exactly the checkpoint-covered prefix";
     EXPECT_EQ(lm.restart_suffix_records, kill_at - half)
         << "restart should replay exactly the post-checkpoint suffix";
 
     for (std::size_t i = kill_at; i < steps.size(); ++i)
-      EXPECT_EQ(left_ctl.inject(steps[i].input, steps[i].vt,
-                                apps::sentence(steps[i].words)),
-                steps[i].vt);
-    ASSERT_TRUE(left_ctl.drain(30s)) << "restarted left never quiesced";
-    ASSERT_TRUE(right_ctl.drain(30s)) << "right never quiesced";
-    ckpt_out = fetch_outputs(right_ctl);
+      EXPECT_EQ(
+          left_ctl->inject(steps[i].input, steps[i].vt, steps[i].words),
+          steps[i].vt);
+    ASSERT_TRUE(left_ctl->drain(30s)) << "restarted left never quiesced";
+    ASSERT_TRUE(right_ctl->drain(30s)) << "right never quiesced";
+    ckpt_out = fetch_outputs(*right_ctl);
 
     // The restarted node checkpoints again: durability survives recovery.
-    const auto ck2 = left_ctl.checkpoint();
+    const auto ck2 = left_ctl->checkpoint();
     EXPECT_TRUE(ck2.ok) << ck2.error;
     EXPECT_EQ(ck2.covered_records, steps.size());
 
-    left_ctl.shutdown_node();
-    right_ctl.shutdown_node();
+    left_ctl->shutdown_node();
+    right_ctl->shutdown_node();
     EXPECT_EQ(left.reap(), 0);
     EXPECT_EQ(right.reap(), 0);
   }

@@ -10,9 +10,9 @@
 
 #include "core/metrics.h"
 #include "core/status.h"
+#include "obs/codec.h"
 #include "obs/exposition.h"
 #include "obs/registry.h"
-#include "obs/sampler.h"
 #include "serde/archive.h"
 
 namespace tart::obs {
@@ -463,7 +463,66 @@ TEST(RunnerMetrics, CountsLandInLabelledRegistryCells) {
   EXPECT_TRUE(found);
 }
 
-// --- Sampler line -----------------------------------------------------------
+// --- GET /obs body ----------------------------------------------------------
+
+TEST(NodeObsBody, RoundTripsMetricsSamplesAndStatusWithPlacement) {
+  NodeObs node;
+  node.metrics.messages_processed = 7;
+  node.metrics.net_frames_in = 3;
+  Registry reg;
+  reg.counter("tart_c_total", "c", {{"component", "x"}}).inc(5);
+  reg.histogram("tart_h_seconds", "h", {}, 1.0, 2).record(0.5);
+  node.samples = reg.samples();
+  core::ComponentStatus c;
+  c.id = ComponentId(2);
+  c.name = "merger";
+  c.held = true;
+  c.held_vt = 456;
+  core::WireStatus w;
+  w.wire = WireId(7);
+  w.sender = "external";
+  w.horizon_ticks = VirtualTime::infinity().ticks();
+  c.inputs = {w};
+  node.status.components.push_back(c);
+  node.status.placement_epoch = 3;
+  node.status.placement.push_back(core::PlacementEntry{2, 1, 3});
+  node.status.migrations.push_back(core::MigrationStatus{4, 2, 1, 0, "delta"});
+
+  const std::vector<std::byte> bytes = encode_node_obs(node);
+  const NodeObs back = decode_node_obs(
+      std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                       bytes.size()));
+  EXPECT_EQ(back.metrics.messages_processed, 7u);
+  EXPECT_EQ(back.metrics.net_frames_in, 3u);
+  ASSERT_EQ(back.samples.size(), 2u);
+  EXPECT_EQ(back.samples[0].name, "tart_c_total");
+  EXPECT_EQ(back.samples[0].counter_value, 5u);
+  ASSERT_TRUE(back.samples[1].hist.has_value());
+  EXPECT_EQ(back.samples[1].hist->count(), 1u);
+  ASSERT_EQ(back.status.components.size(), 1u);
+  EXPECT_EQ(back.status.components[0].name, "merger");
+  EXPECT_EQ(back.status.components[0].held_vt, 456);
+  ASSERT_EQ(back.status.components[0].inputs.size(), 1u);
+  EXPECT_EQ(back.status.components[0].inputs[0].horizon_ticks,
+            VirtualTime::infinity().ticks());
+  EXPECT_EQ(back.status.placement_epoch, 3u);
+  ASSERT_EQ(back.status.placement.size(), 1u);
+  EXPECT_EQ(back.status.placement[0].epoch, 3u);
+  ASSERT_EQ(back.status.migrations.size(), 1u);
+  EXPECT_EQ(back.status.migrations[0].stage, "delta");
+}
+
+TEST(NodeObsBody, TruncatedOrPaddedBodiesAreRejected) {
+  const std::vector<std::byte> bytes = encode_node_obs(NodeObs{});
+  const std::string body(reinterpret_cast<const char*>(bytes.data()),
+                         bytes.size());
+  EXPECT_NO_THROW((void)decode_node_obs(body));
+  EXPECT_THROW((void)decode_node_obs(body + "x"), serde::DecodeError);
+  EXPECT_THROW((void)decode_node_obs(body.substr(0, body.size() - 1)),
+               serde::DecodeError);
+}
+
+// --- Series line (tart-obs --series) ----------------------------------------
 
 TEST(Sampler, RenderLineIsOneJsonObject) {
   core::MetricsSnapshot snap;
@@ -471,7 +530,7 @@ TEST(Sampler, RenderLineIsOneJsonObject) {
   Registry reg;
   reg.counter("tart_c_total", "c", {{"component", "x"}}).inc(1);
   reg.histogram("tart_h_seconds", "h", {}, 1.0, 2).record(0.5);
-  const std::string line = Sampler::render_line(1234, snap, reg.samples());
+  const std::string line = render_series_line(1234, snap, reg.samples());
   EXPECT_EQ(line.back(), '\n');
   EXPECT_EQ(line.front(), '{');
   EXPECT_NE(line.find("\"ts_ms\":1234"), std::string::npos) << line;

@@ -2,7 +2,9 @@
 // torn-write tolerance, and write-through persistence of the external
 // message log and the determinism-fault log.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -93,6 +95,41 @@ TEST_F(StableStoreTest, TornBatchedWriteRecoversIntactPrefix) {
   // The intact per-record frames before the tear must still scan.
   const auto size = std::filesystem::file_size(p);
   std::filesystem::resize_file(p, size - 3);
+  const auto records = FileStableStore::scan(p);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0], bytes({1, 1}));
+  EXPECT_EQ(records[1], bytes({2, 2}));
+}
+
+// A short write followed by EFBIG leaves a torn frame at the tail. scan()
+// stops at it, so a store that kept appending after the failure would ack
+// records no restart can read: it must fail-stop instead.
+TEST_F(StableStoreTest, FailedAppendFailsStop) {
+  const std::string p = path("log");
+  FileStableStore store(p);
+  ASSERT_TRUE(store.append_batch(
+      std::vector<std::vector<std::byte>>{bytes({1, 1}), bytes({2, 2})}));
+
+  // Cap the file a few bytes past its current size: the next batch's write
+  // lands partially, then fails with EFBIG (SIGXFSZ ignored, or it kills).
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit capped = saved;
+  capped.rlim_cur = std::filesystem::file_size(p) + 5;
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  const bool failed_write_ok = store.append_batch(
+      std::vector<std::vector<std::byte>>{bytes({3, 3, 3, 3, 3, 3, 3, 3})});
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, old_handler);
+  EXPECT_FALSE(failed_write_ok);
+
+  // The limit is gone, yet the store stays stopped.
+  EXPECT_FALSE(store.append_batch(
+      std::vector<std::vector<std::byte>>{bytes({4, 4})}));
+  EXPECT_FALSE(store.append(bytes({5})));
+  EXPECT_EQ(store.records_written(), 2u);
+
   const auto records = FileStableStore::scan(p);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0], bytes({1, 1}));

@@ -11,6 +11,7 @@
 //     (asserted through MetricsSnapshot).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -18,8 +19,10 @@
 #include <set>
 #include <thread>
 
+#include "gateway/gateway.h"
+#include "gateway/http_client.h"
+#include "obs/codec.h"
 #include "obs/prof.h"
-#include "obs/sampler.h"
 #include "random_app.h"
 #include "trace/diff.h"
 #include "trace/trace_file.h"
@@ -202,11 +205,12 @@ TEST(TraceDeterminism, InjectedNondeterminismIsCaughtAndNamed) {
   std::remove(pb.c_str());
 }
 
-// The telemetry layer is a read-only observer: a run with the background
-// JSONL sampler attached (aggressive 1ms interval) and every registry
-// histogram live must trace byte-identically to a bare run. If any
-// instrumentation path ever feeds back into scheduling (a lock on the
-// dispatch path, a wall-clock read that shifts a virtual time), this is
+// The telemetry layer is a read-only observer: a run whose GET /obs is
+// polled back-to-back by a concurrent reader (every poll snapshots the
+// metrics, the whole registry and the status under the runner locks) with
+// every registry histogram live must trace byte-identically to a bare run.
+// If any instrumentation path ever feeds back into scheduling (a lock on
+// the dispatch path, a wall-clock read that shifts a virtual time), this is
 // the test that goes red.
 TEST(TraceDeterminism, SamplerAndInstrumentationDoNotPerturbTraces) {
   for (const std::uint64_t seed : {3ull, 8ull}) {
@@ -215,49 +219,53 @@ TEST(TraceDeterminism, SamplerAndInstrumentationDoNotPerturbTraces) {
 
     const std::string observed =
         temp_trace_path("obs" + std::to_string(seed));
-    const std::string jsonl =
-        (std::filesystem::temp_directory_path() /
-         ("tart_sampler_" + std::to_string(seed) + ".jsonl"))
-            .string();
-    std::remove(jsonl.c_str());
+    std::size_t reads = 0;
+    obs::NodeObs last;
     {
       proptest::GeneratedApp app = proptest::generate_app(seed);
       RuntimeConfig config;
       config.trace.enabled = true;
       config.trace.path = observed;
       Runtime rt(app.topo, two_engine_placement(app), std::move(config));
-      obs::Sampler sampler(obs::Sampler::Options{jsonl, 1}, &rt.registry(),
-                           [&rt] { return rt.total_metrics(); });
-      ASSERT_TRUE(sampler.start());
+      gateway::Gateway gw(&rt, {}, {}, {});
+      auto http = gateway::BlockingHttpClient::connect(
+          "127.0.0.1:" + std::to_string(gw.port()));
+      ASSERT_TRUE(http.has_value());
       rt.start();
+      std::atomic<bool> stop{false};
+      std::thread reader([&] {
+        try {
+          do {
+            const auto resp = http->get("/obs");
+            if (resp.status != 200) break;
+            last = obs::decode_node_obs(resp.body);
+            ++reads;
+          } while (!stop.load());
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << "GET /obs: " << e.what();
+        }
+      });
       for (const auto& inj : plan_workload(app, seed))
         rt.inject_at(inj.wire, inj.vt, inj.payload);
-      ASSERT_TRUE(rt.drain(60s)) << "seed " << seed;
-      sampler.stop();
-      EXPECT_GT(sampler.samples_written(), 0u);
+      const bool drained = rt.drain(60s);
+      stop.store(true);
+      reader.join();
+      ASSERT_TRUE(drained) << "seed " << seed;
+      gw.shutdown();
       rt.stop();
     }
 
     EXPECT_EQ(file_bytes(bare), file_bytes(observed))
         << "telemetry perturbed the trace for seed " << seed;
 
-    // The sampler wrote well-formed JSONL: every line is one object with
-    // the timestamp and the scalar block.
-    std::ifstream in(jsonl);
-    std::string line;
-    std::size_t lines = 0;
-    while (std::getline(in, line)) {
-      ++lines;
-      EXPECT_EQ(line.front(), '{') << line;
-      EXPECT_EQ(line.back(), '}') << line;
-      EXPECT_NE(line.find("\"ts_ms\":"), std::string::npos) << line;
-      EXPECT_NE(line.find("\"metrics\":"), std::string::npos) << line;
-    }
-    EXPECT_GT(lines, 0u);
+    // The reader saw well-formed snapshots: the merged scalar block, the
+    // labelled registry series and the wavefront of every component.
+    EXPECT_GT(reads, 0u);
+    EXPECT_FALSE(last.samples.empty());
+    EXPECT_FALSE(last.status.components.empty());
 
     std::remove(bare.c_str());
     std::remove(observed.c_str());
-    std::remove(jsonl.c_str());
   }
 }
 
@@ -350,7 +358,7 @@ TEST(TraceDeterminism, LineageDoesNotPerturbScheduling) {
 }
 
 // The hot-path span profiler is the same kind of read-only observer as the
-// sampler: it reads wall clocks inside dispatch, decode, and flush paths
+// /obs reader: it reads wall clocks inside dispatch, decode, and flush paths
 // but never feeds a scheduling decision. A run with profiling enabled must
 // trace byte-identically to a run with the runtime kill switch off — the
 // non-interference contract for TART_PROF_SPAN in the hottest code.
