@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: plain build + full ctest, then the same suite under
-# AddressSanitizer. Usage: scripts/check.sh [--no-asan] [--smoke]
+# AddressSanitizer, then a ThreadSanitizer subset (always, --smoke too).
+# Usage: scripts/check.sh [--no-asan] [--smoke]
 #
 # --smoke additionally runs the bench smokes with --json, collects the
 # machine-readable results in bench/out/ (gitignored), and gates them
@@ -83,5 +84,18 @@ if [[ "$run_asan" == 1 ]]; then
   echo "== gateway bench smoke (ASan) =="
   ./build-asan/bench/bench_gateway --smoke
 fi
+
+# ThreadSanitizer subset: the suites whose threads cross into each other —
+# runner threads calling the gateway's output listener, which posts to the
+# gateway loop; group commit against probes; trace writers. Built and run
+# by name so a filter change in the suites can't silently drop them.
+echo "== ThreadSanitizer subset =="
+tsan_tests=(gateway_test core_runtime_test stable_store_test
+            trace_determinism_test)
+cmake -B build-tsan -S . -DTART_SANITIZE=thread >/dev/null
+cmake --build build-tsan -j"$(nproc)" --target "${tsan_tests[@]}"
+for t in "${tsan_tests[@]}"; do
+  ./build-tsan/tests/"$t" --gtest_brief=1
+done
 
 echo "OK"

@@ -98,6 +98,9 @@ namespace tart::core {
     "Largest single group-commit round", MAX, 1.0)                            \
   X(gw_redirects, "tart_gw_redirects_total",                                  \
     "307 redirects to the input's current owner after migration", SUM, 1.0)   \
+  X(gw_poll_wakeups, "tart_gw_poll_wakeups_total",                            \
+    "Parked long-polls re-examined (output landed or deadline passed)", SUM,  \
+    1.0)                                                                      \
   X(ckpt_written, "tart_ckpt_written_total",                                  \
     "Durable checkpoint files written", SUM, 1.0)                             \
   X(ckpt_bytes, "tart_ckpt_bytes_total",                                      \

@@ -1,8 +1,10 @@
 #include "core/runtime.h"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 
 #include "durability/checkpoint_file.h"
 #include "durability/manager.h"
@@ -259,10 +261,14 @@ VirtualTime Runtime::inject(WireId input_wire, Payload payload) {
     m.origin_wire = input_wire;
     m.origin_seq = m.seq;
     m.origin_wall_ns = arrive_ns;
-    in.last_vt = m.vt;
     // Logged synchronously *before* delivery: the message must be durable
-    // while its effects are not (§II.E).
-    message_log_.append(m);
+    // while its effects are not (§II.E). A message the store refused is
+    // never delivered, and its seq and vt are free again.
+    if (!message_log_.append(m)) {
+      --in.next_seq;
+      throw std::runtime_error("inject: stable-store append failed");
+    }
+    in.last_vt = m.vt;
   }
   record_ingest(m, arrive_ns, wall_now_ns());
   to_receiver(input_wire, transport::DataFrame{m});
@@ -293,8 +299,11 @@ VirtualTime Runtime::inject_at(WireId input_wire, VirtualTime vt,
     m.origin_wire = input_wire;
     m.origin_seq = m.seq;
     m.origin_wall_ns = arrive_ns;
+    if (!message_log_.append(m)) {  // as in inject()
+      --in.next_seq;
+      throw std::runtime_error("inject_at: stable-store append failed");
+    }
     in.last_vt = m.vt;
-    message_log_.append(m);
   }
   record_ingest(m, arrive_ns, wall_now_ns());
   to_receiver(input_wire, transport::DataFrame{m});
@@ -331,7 +340,13 @@ std::vector<InjectResult> Runtime::try_inject_batch(
   }
   std::vector<std::unique_lock<std::mutex>> guards;
   guards.reserve(adapters.size());
-  for (auto& [wire, adapter] : adapters) guards.emplace_back(adapter->mu);
+  // Each adapter's position before the batch: a failed flush rolls back
+  // to it while the locks are still held.
+  std::map<WireId, std::pair<std::uint64_t, VirtualTime>> before;
+  for (auto& [wire, adapter] : adapters) {
+    guards.emplace_back(adapter->mu);
+    before.emplace(wire, std::make_pair(adapter->next_seq, adapter->last_vt));
+  }
 
   // Stamp and log while holding the locks: per-wire memory order, stable
   // store order and seq order must agree even against concurrent single
@@ -379,15 +394,22 @@ std::vector<InjectResult> Runtime::try_inject_batch(
     batch_to_request.push_back(i);
   }
   // One framed append + one flush for the whole batch: the group commit.
-  const bool durable = message_log_.append_batch(batch);
+  if (!message_log_.append_batch(batch)) {
+    // Not durable, so not logged: nothing of the batch may affect the
+    // system, and its seqs and vts are free again.
+    for (auto& [wire, adapter] : adapters)
+      std::tie(adapter->next_seq, adapter->last_vt) = before.at(wire);
+    for (const std::size_t i : batch_to_request)
+      results[i] = InjectResult{InjectStatus::kStoreFailed, VirtualTime(-1)};
+    return results;
+  }
   guards.clear();
-  const std::int64_t durable_ns = durable ? wall_now_ns() : -1;
+  const std::int64_t durable_ns = wall_now_ns();
 
-  // Logged (durably or not) — now, and only now, let the messages affect
-  // the system (§II.E: log before delivery).
+  // Logged — now, and only now, let the messages affect the system (§II.E:
+  // log before delivery).
   std::map<WireId, const Message*> last_of_wire;
   for (std::size_t b = 0; b < batch.size(); ++b) {
-    if (!durable) results[batch_to_request[b]].status = InjectStatus::kStoreFailed;
     record_ingest(batch[b], batch[b].origin_wall_ns, durable_ns);
     to_receiver(batch[b].wire, transport::DataFrame{batch[b]});
     last_of_wire[batch[b].wire] = &batch[b];
@@ -432,11 +454,24 @@ void Runtime::subscribe(WireId output_wire, OutputCallback callback) {
   pinned->callback = std::move(callback);
 }
 
-std::vector<OutputRecord> Runtime::output_records(WireId output_wire) const {
+std::vector<OutputRecord> Runtime::output_records(WireId output_wire,
+                                                  std::size_t after,
+                                                  std::size_t max) const {
   const auto pinned = output_sink(output_wire);
   if (pinned == nullptr) return {};
   const std::lock_guard<std::mutex> lk(pinned->mu);
-  return pinned->records;
+  const std::vector<OutputRecord>& all = pinned->records;
+  if (after >= all.size()) return {};
+  const auto first = all.begin() + static_cast<std::ptrdiff_t>(after);
+  const std::size_t n = std::min(all.size() - after, max);
+  return {first, first + static_cast<std::ptrdiff_t>(n)};
+}
+
+void Runtime::set_output_listener(OutputListener listener) {
+  const std::lock_guard<std::mutex> lk(output_listener_mu_);
+  has_output_listener_.store(static_cast<bool>(listener),
+                             std::memory_order_release);
+  output_listener_ = std::move(listener);
 }
 
 void Runtime::deliver_external_output(WireId wire,
@@ -466,6 +501,10 @@ void Runtime::deliver_external_output(WireId wire,
     // Catch-up replay must be invisible to the outside world (§II.A): the
     // record is kept, the subscriber is not called.
     if (!outputs_suppressed_.load()) callback = sink.callback;
+  }
+  if (has_output_listener_.load(std::memory_order_acquire)) {
+    const std::lock_guard<std::mutex> lk(output_listener_mu_);
+    if (output_listener_) output_listener_(wire);
   }
   const std::int64_t deliver_ns = wall_now_ns();
   if (tracer_ != nullptr &&
@@ -897,7 +936,8 @@ bool Runtime::adopt_component(ComponentId c, EngineId onto,
     if (message_log_.next_seq(in.wire) == 0 && in.base_seq > 0)
       message_log_.set_base(in.wire, in.base_seq, in.base_vt);
     for (const Message& m : in.records)
-      if (m.seq >= message_log_.next_seq(in.wire)) message_log_.append(m);
+      if (m.seq >= message_log_.next_seq(in.wire) && !message_log_.append(m))
+        return fail("stable-store append failed");
   }
   // Import the shipped plan so the local replica owns it from here on
   // (delta checkpoints chain off it; durable checkpoints persist it).

@@ -78,8 +78,8 @@ enum class InjectStatus : std::uint8_t {
   kUnknownWire,  ///< no local external-input adapter for the wire
   kClosed,       ///< the input was closed (silence-forever promised)
   kVtRegressed,  ///< scripted vt not strictly after last logged/promised vt
-  kStoreFailed,  ///< stable-store append failed: message delivered but NOT
-                 ///< durable — log-before-ack callers must refuse the ack
+  kStoreFailed,  ///< stable-store append failed: the message was neither
+                 ///< logged nor delivered — callers must refuse the ack
 };
 
 /// One injection of a batch (vt < 0 = real-time stamping, like inject()).
@@ -134,10 +134,13 @@ class Runtime final : public FrameRouter {
 
   /// Injects an external message; its virtual time is the real arrival
   /// time (nanoseconds since runtime construction), logged before delivery.
+  /// Throws std::runtime_error, delivering nothing, when the stable-store
+  /// append fails.
   VirtualTime inject(WireId input_wire, Payload payload);
 
   /// Injects with a scripted virtual time (clamped to stay monotone per
   /// wire). Deterministic tests use this so the log is run-independent.
+  /// Store failure is handled as in inject().
   VirtualTime inject_at(WireId input_wire, VirtualTime vt, Payload payload);
 
   /// Non-throwing inject: returns a typed status instead of throwing on a
@@ -153,9 +156,9 @@ class Runtime final : public FrameRouter {
   /// Group commit: stamps and logs a whole batch with ONE stable-store
   /// flush (§II.E's "(a) given a timestamp, and then (b) logged" for every
   /// message, amortizing the durability cost), then delivers. Results are
-  /// positional; failed entries are neither logged nor delivered (except
-  /// kStoreFailed, see InjectStatus). Per-wire arrival order follows batch
-  /// order.
+  /// positional; failed entries are neither logged nor delivered. When the
+  /// flush fails, every entry of the batch is kStoreFailed. Per-wire
+  /// arrival order follows batch order.
   [[nodiscard]] std::vector<InjectResult> try_inject_batch(
       const std::vector<InjectRequest>& requests);
 
@@ -167,10 +170,20 @@ class Runtime final : public FrameRouter {
   /// before start()). Records are kept regardless of subscription.
   void subscribe(WireId output_wire, OutputCallback callback);
 
-  /// Everything delivered on an external output so far, in delivery order
-  /// (stutter re-deliveries flagged).
+  /// Records delivered on an external output, in delivery order (stutter
+  /// re-deliveries flagged): positions [after, min(size, after + max)).
+  /// Only that slice is copied.
   [[nodiscard]] std::vector<OutputRecord> output_records(
-      WireId output_wire) const;
+      WireId output_wire, std::size_t after = 0,
+      std::size_t max = SIZE_MAX) const;
+
+  using OutputListener = std::function<void(WireId output_wire)>;
+  /// The listener runs after a record is appended to ANY local output
+  /// sink, on the delivering thread and outside the sink's lock. One per
+  /// runtime (sinks created by adoption are covered); setting replaces the
+  /// previous one. Setting an empty listener waits out a call in progress,
+  /// so once it returns the old listener never runs again.
+  void set_output_listener(OutputListener listener);
 
   // --- Partition-aware wiring (multi-process deployments) ------------------
 
@@ -455,6 +468,12 @@ class Runtime final : public FrameRouter {
   std::unique_ptr<durability::CheckpointManager> ckpt_manager_;
   RecoveryInfo recovery_;
   std::atomic<bool> outputs_suppressed_{false};
+
+  /// set_output_listener: the flag spares deliveries the lock when no
+  /// listener is set; calls run under the mutex, which setters wait on.
+  std::mutex output_listener_mu_;
+  OutputListener output_listener_;
+  std::atomic<bool> has_output_listener_{false};
 
   /// Owned here, not by the engines: a component's trace stream (and its
   /// sequence counter) must survive engine crash/recover for recovery

@@ -145,6 +145,10 @@ Gateway::Gateway(core::Runtime* runtime, Options options,
     (void)name;
     inflight_[wire].store(0);
   }
+  for (const auto& [name, wire] : outputs_) {
+    (void)name;
+    wake_pending_[wire].store(false);
+  }
 
   const auto addr = net::SockAddr::parse(options_.listen);
   if (!addr) throw net::ConfigError("gateway: bad listen address '" +
@@ -162,11 +166,19 @@ Gateway::Gateway(core::Runtime* runtime, Options options,
                  [this](unsigned) { on_accept(); });
   });
   loop_thread_ = std::thread([this] { loop_.run(); });
+  // Last: nothing above may throw once a runner thread can call back here.
+  runtime_->set_output_listener([this](WireId wire) { on_output(wire); });
 }
 
 Gateway::~Gateway() { shutdown(); }
 
 void Gateway::shutdown() {
+  // A repeated call (the destructor's) must not touch the runtime, which
+  // may be gone by then.
+  if (stopping_.load()) return;
+  // Before anything else: once this returns, no runner thread can post()
+  // into the loop being torn down below.
+  runtime_->set_output_listener({});
   {
     // The flag flips under the committer's mutex: a committer between its
     // predicate check and its wait would otherwise miss both the store and
@@ -208,6 +220,7 @@ GatewayCounters Gateway::counters() const {
   c.rejected = rejected_.load();
   c.errors = errors_.load();
   c.redirects = redirects_.load();
+  c.poll_wakeups = poll_wakeups_.load();
   c.commit_batches = commit_batches_.load();
   c.commit_records = commit_records_.load();
   c.commit_batch_max = commit_batch_max_.load();
@@ -221,6 +234,7 @@ void Gateway::fill(core::MetricsSnapshot& snapshot) const {
   snapshot.gw_rejected = c.rejected;
   snapshot.gw_errors = c.errors;
   snapshot.gw_redirects = c.redirects;
+  snapshot.gw_poll_wakeups = c.poll_wakeups;
   snapshot.gw_commit_batches = c.commit_batches;
   snapshot.gw_commit_records = c.commit_records;
   snapshot.gw_commit_batch_max = c.commit_batch_max;
@@ -681,49 +695,83 @@ void Gateway::poll_outputs(std::uint64_t id, WireId wire, std::size_t after,
   if (it == conns_.end()) return;
   Conn* c = it->second.get();
 
-  const auto records = runtime_->output_records(wire);
-  if (records.size() <= after && Clock::now() < deadline &&
-      !stopping_.load()) {
-    // Long-poll: nothing new yet; re-check on a short timer. The
-    // connection stays read-paused so pipelined requests wait their turn.
-    if (!c->awaiting) {
-      c->awaiting = true;
-      loop_.set_interest(c->fd.get(), false, c->out_off < c->outbuf.size());
-    }
-    loop_.add_timer(Clock::now() + std::chrono::milliseconds(10),
-                    [this, id, wire, after, max, deadline, keep_alive] {
-                      poll_outputs(id, wire, after, max, deadline, keep_alive);
-                    });
+  const auto records = runtime_->output_records(wire, after, max);
+  if (!records.empty() || Clock::now() >= deadline || stopping_.load()) {
+    respond_outputs(id, after, records, keep_alive);
     return;
   }
+  // Long-poll: nothing new yet. Park until an output lands on the wire
+  // (wake_polls) or the deadline passes; the connection stays read-paused
+  // so pipelined requests wait their turn.
+  c->awaiting = true;
+  loop_.set_interest(c->fd.get(), false, c->out_off < c->outbuf.size());
+  const auto timer =
+      loop_.add_timer(deadline, [this, id] { recheck_parked(id, true); });
+  c->parked = ParkedPoll{wire, after, max, keep_alive, timer};
+}
 
+void Gateway::recheck_parked(std::uint64_t id, bool at_deadline) {
+  const auto it = conns_.find(id);
+  if (it == conns_.end() || !it->second->parked) return;
+  Conn* c = it->second.get();
+  poll_wakeups_.fetch_add(1);
+  const ParkedPoll p = *c->parked;
+  const auto records = runtime_->output_records(p.wire, p.after, p.max);
+  if (records.empty() && !at_deadline) return;
+  // The timer is this poll's alone: once the poll is answered it must not
+  // fire into a later request pipelined on the same connection.
+  if (!at_deadline) loop_.cancel_timer(p.deadline_timer);
+  c->parked.reset();
+  respond_outputs(id, p.after, records, p.keep_alive);
+  serve_next(id);
+}
+
+void Gateway::on_output(WireId wire) {
+  const auto it = wake_pending_.find(wire);
+  if (it == wake_pending_.end()) return;  // an output this gateway never serves
+  if (it->second.exchange(true, std::memory_order_acq_rel)) return;
+  loop_.post([this, wire] { wake_polls(wire); });
+}
+
+void Gateway::wake_polls(WireId wire) {
+  // Cleared before the records are read: an output landing from here on
+  // posts a fresh wake. The exchange pairs with on_output's, so every
+  // record whose wake was coalesced into this one is visible below.
+  wake_pending_.at(wire).exchange(false, std::memory_order_acq_rel);
+  // Answering may drop or re-park connections: collect first.
+  std::vector<std::uint64_t> ids;
+  for (const auto& [id, conn] : conns_)
+    if (conn->parked && conn->parked->wire == wire) ids.push_back(id);
+  for (const std::uint64_t id : ids) recheck_parked(id, false);
+}
+
+void Gateway::respond_outputs(std::uint64_t id, std::size_t after,
+                              const std::vector<core::OutputRecord>& records,
+                              bool keep_alive) {
   std::string body;
-  const std::size_t end = std::min(records.size(), after + max);
-  for (std::size_t i = after; i < end; ++i) {
-    body += std::to_string(records[i].vt.ticks());
+  for (const core::OutputRecord& r : records) {
+    body += std::to_string(r.vt.ticks());
     body += '\t';
-    body += records[i].stutter ? '1' : '0';
+    body += r.stutter ? '1' : '0';
     body += '\t';
     // Lineage tag: the originating input as WIRE:SEQ ("-" when unknown),
     // so external clients can correlate acked injections to outputs
     // without reading trace files (`tart-trace lineage --input WIRE:SEQ`).
-    if (records[i].origin_wire.is_valid()) {
-      body += std::to_string(records[i].origin_wire.value());
+    if (r.origin_wire.is_valid()) {
+      body += std::to_string(r.origin_wire.value());
       body += ':';
-      body += std::to_string(records[i].origin_seq);
+      body += std::to_string(r.origin_seq);
     } else {
       body += '-';
     }
     body += '\t';
-    body += render_payload(records[i].payload);
+    body += render_payload(r.payload);
     body += '\n';
   }
-  const bool was_awaiting = c->awaiting;
   respond(id, 200,
           {{"Content-Type", "text/plain"},
-           {"X-Tart-Next", std::to_string(end)}},
+           {"X-Tart-Next", std::to_string(after + records.size())}},
           body, keep_alive);
-  if (was_awaiting) serve_next(id);
 }
 
 void Gateway::respond(std::uint64_t id, int status,
@@ -774,6 +822,8 @@ void Gateway::flush_out(std::uint64_t id) {
 void Gateway::drop_conn(std::uint64_t id) {
   const auto it = conns_.find(id);
   if (it == conns_.end()) return;
+  if (const auto& parked = it->second->parked)
+    loop_.cancel_timer(parked->deadline_timer);
   loop_.remove_fd(it->second->fd.get());
   conns_.erase(it);
 }

@@ -23,6 +23,7 @@
 //   POST /migrate?component=C&to=NODE   live-migrate C (docs/PLACEMENT.md)
 //   POST /shutdown                ask the host process to exit
 //   GET  /outputs/<output>[?after=N&wait_ms=M&max=K]   drain/long-poll
+//                                 (answered when an output lands)
 //   GET  /metrics                 Prometheus text exposition (obs registry)
 //   GET  /status                  silence-wavefront JSON (per component)
 //   GET  /obs                     metrics + samples + status, serde-encoded
@@ -39,6 +40,8 @@
 // worker threads; results are post()ed back to the loop. While a request
 // awaits its commit the connection's reads are paused, which makes
 // pipelining safe: parsed-but-unserved requests simply wait their turn.
+// A long-poll with nothing to return parks on its connection; the
+// runtime's output listener posts a wake to the loop when a record lands.
 #pragma once
 
 #include <atomic>
@@ -49,6 +52,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,6 +73,8 @@ struct GatewayCounters {
   std::uint64_t rejected = 0;  ///< 429 admission rejections
   std::uint64_t errors = 0;    ///< other 4xx/5xx
   std::uint64_t redirects = 0;  ///< 307s to an input's post-migration owner
+  /// Parked long-polls re-examined, by a landed output or by the deadline.
+  std::uint64_t poll_wakeups = 0;
   std::uint64_t commit_batches = 0;
   std::uint64_t commit_records = 0;
   std::uint64_t commit_batch_max = 0;
@@ -152,8 +158,9 @@ class Gateway {
   Gateway(const Gateway&) = delete;
   Gateway& operator=(const Gateway&) = delete;
 
-  /// Stops accepting, fails pending commits' connections, joins threads.
-  /// Idempotent. Call before stopping the runtime.
+  /// Detaches from the runtime's output listener, stops accepting, fails
+  /// pending commits' connections, joins threads. Idempotent. Call before
+  /// stopping the runtime.
   void shutdown();
 
   [[nodiscard]] std::uint16_t port() const { return port_; }
@@ -162,6 +169,15 @@ class Gateway {
   void fill(core::MetricsSnapshot& snapshot) const;
 
  private:
+  /// A GET /outputs long-poll waiting for a record past `after`.
+  struct ParkedPoll {
+    WireId wire;
+    std::size_t after = 0;
+    std::size_t max = 0;
+    bool keep_alive = true;
+    net::EventLoop::TimerId deadline_timer = 0;  ///< answers empty at wait_ms
+  };
+
   struct Conn {
     net::Fd fd;
     HttpParser parser;
@@ -169,9 +185,10 @@ class Gateway {
     std::size_t out_off = 0;
     bool close_after_write = false;
     /// A response for the current request is still being produced
-    /// elsewhere (committer, drain worker, long-poll timer); reads stay
+    /// elsewhere (committer, drain worker, parked long-poll); reads stay
     /// paused and no further pipelined request is started until it lands.
     bool awaiting = false;
+    std::optional<ParkedPoll> parked;
   };
 
   /// One injection waiting for the committer.
@@ -197,10 +214,20 @@ class Gateway {
   /// (hooks_.redirect says so); returns true when a redirect was sent.
   bool maybe_redirect(std::uint64_t id, const HttpRequest& req,
                       const std::string& name);
+  /// Answers at once when records past `after` exist or `deadline` has
+  /// passed; otherwise parks the poll on its connection.
   void poll_outputs(std::uint64_t id, WireId wire, std::size_t after,
                     std::size_t max,
                     std::chrono::steady_clock::time_point deadline,
                     bool keep_alive);
+  /// Re-examines the connection's parked poll: answers it when records
+  /// exist or `at_deadline`, else leaves it parked.
+  void recheck_parked(std::uint64_t id, bool at_deadline);
+  /// Re-examines every poll parked on `wire` (posted by on_output).
+  void wake_polls(WireId wire);
+  void respond_outputs(std::uint64_t id, std::size_t after,
+                       const std::vector<core::OutputRecord>& records,
+                       bool keep_alive);
   void respond(std::uint64_t id, int status,
                std::vector<std::pair<std::string, std::string>> extra,
                std::string_view body, bool keep_alive);
@@ -208,6 +235,10 @@ class Gateway {
   void drop_conn(std::uint64_t id);
   [[nodiscard]] core::MetricsSnapshot snapshot() const;
   [[nodiscard]] core::StatusReport status() const;
+
+  // Runner threads (the runtime's output listener): posts at most one
+  // pending wake per wire to the loop.
+  void on_output(WireId wire);
 
   // Committer thread.
   void committer_main();
@@ -238,6 +269,10 @@ class Gateway {
   std::thread committer_;
   std::map<WireId, std::atomic<std::size_t>> inflight_;
 
+  // Per output wire: a wake_polls is posted and has not started yet. Set
+  // by on_output, cleared by wake_polls before it reads the records.
+  std::map<WireId, std::atomic<bool>> wake_pending_;
+
   // Blocking-operation workers (drain); joined at shutdown.
   std::mutex workers_mu_;
   std::vector<std::thread> workers_;
@@ -249,6 +284,7 @@ class Gateway {
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> errors_{0};
   std::atomic<std::uint64_t> redirects_{0};
+  std::atomic<std::uint64_t> poll_wakeups_{0};
   std::atomic<std::uint64_t> commit_batches_{0};
   std::atomic<std::uint64_t> commit_records_{0};
   std::atomic<std::uint64_t> commit_batch_max_{0};

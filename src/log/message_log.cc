@@ -21,19 +21,19 @@ void ExternalMessageLog::append_locked(const Message& message) {
   order_.emplace_back(message.wire, message.seq);
 }
 
-void ExternalMessageLog::append(const Message& message) {
+bool ExternalMessageLog::append(const Message& message) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  append_locked(message);
   if (store_ != nullptr) {
     serde::Writer w;
     message.encode(w);
-    store_->append(w.bytes());
+    if (!store_->append(w.bytes())) return false;
   }
+  append_locked(message);
+  return true;
 }
 
 bool ExternalMessageLog::append_batch(const std::vector<Message>& messages) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  bool durable = true;
   if (store_ != nullptr && !messages.empty()) {
     std::vector<std::vector<std::byte>> records;
     records.reserve(messages.size());
@@ -42,10 +42,10 @@ bool ExternalMessageLog::append_batch(const std::vector<Message>& messages) {
       m.encode(w);
       records.push_back(w.take());
     }
-    durable = store_->append_batch(records);
+    if (!store_->append_batch(records)) return false;
   }
   for (const Message& m : messages) append_locked(m);
-  return durable;
+  return true;
 }
 
 void ExternalMessageLog::attach_store(StableSink* store) {

@@ -37,17 +37,17 @@ namespace tart::log {
 class ExternalMessageLog {
  public:
   /// Appends an external arrival. Synchronous — returns once durable (in
-  /// this reproduction, once in the in-memory stable store). Entries per
-  /// wire must arrive with increasing seq and nondecreasing vt.
-  void append(const Message& message);
+  /// the attached store, if any). Entries per wire must arrive with
+  /// increasing seq and nondecreasing vt. Returns false, appending nothing,
+  /// when the attached store's write failed: a message that is not durable
+  /// is not logged.
+  bool append(const Message& message);
 
   /// Appends N arrivals with ONE stable-store flush (group commit): the
   /// attached store's append_batch frames every record and fsyncs once.
   /// Per-wire ordering rules are those of append(); messages for the same
-  /// wire must appear in seq order within the batch. Returns false when a
-  /// store is attached and its batched write failed — the messages are
-  /// still appended in memory (the system keeps running) but callers that
-  /// promised durability (log-before-ack) must surface the failure.
+  /// wire must appear in seq order within the batch. Returns false, with
+  /// none of the messages appended, when the batched write failed.
   bool append_batch(const std::vector<Message>& messages);
 
   /// All logged messages on `wire` with vt strictly greater than `after`,

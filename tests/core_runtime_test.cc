@@ -4,7 +4,13 @@
 // determinism property that the whole recovery story rests on.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <chrono>
+#include <csignal>
+#include <filesystem>
+#include <thread>
 
 #include "core/runtime.h"
 #include "estimator/estimator.h"
@@ -296,6 +302,129 @@ TEST(RuntimeFig1Test, RealTimeInjectAssignsMonotoneVts) {
   ASSERT_TRUE(rt.drain());
   EXPECT_EQ(rt.output_records(app.out).size(), 10u);
   rt.stop();
+}
+
+// --- Output range reads --------------------------------------------------------
+
+void expect_same_record(const OutputRecord& a, const OutputRecord& b) {
+  EXPECT_EQ(a.vt, b.vt);
+  EXPECT_EQ(a.payload, b.payload);
+  EXPECT_EQ(a.stutter, b.stutter);
+  EXPECT_EQ(a.origin_wire, b.origin_wire);
+  EXPECT_EQ(a.origin_seq, b.origin_seq);
+}
+
+TEST(RuntimeOutputsTest, RangeReadReturnsThePositionsOfTheFullRead) {
+  Fig1App app;
+  Runtime rt(app.topo, app.two_engines(), RuntimeConfig{});
+  rt.start();
+  for (int i = 0; i < 4; ++i)
+    rt.inject_at(i % 2 == 0 ? app.in1 : app.in2,
+                 VirtualTime(1000 + i * 100000),
+                 testing_::sentence({"a", "b"}));
+  ASSERT_TRUE(rt.drain());
+  // The merger restarts with no checkpoint and re-delivers all four
+  // outputs, flagged as stutter.
+  rt.crash_engine(EngineId(1));
+  rt.recover_engine(EngineId(1));
+  const auto give_up = std::chrono::steady_clock::now() + 10s;
+  while (rt.output_records(app.out).size() < 8 &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(1ms);
+  const auto all = rt.output_records(app.out);
+  rt.stop();
+  ASSERT_EQ(all.size(), 8u);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(all[i].stutter, i >= 4) << "at " << i;
+    EXPECT_TRUE(all[i].origin_wire.is_valid()) << "at " << i;
+  }
+
+  EXPECT_TRUE(rt.output_records(app.out, 8).empty());
+  EXPECT_TRUE(rt.output_records(app.out, 100, 5).empty());
+  EXPECT_EQ(rt.output_records(app.out, 6, 100).size(), 2u);  // by size
+  EXPECT_EQ(rt.output_records(app.out, 1, 3).size(), 3u);    // by max
+  for (std::size_t after = 0; after <= all.size(); ++after) {
+    for (const std::size_t max : {std::size_t{1}, std::size_t{3}, SIZE_MAX}) {
+      const auto slice = rt.output_records(app.out, after, max);
+      ASSERT_EQ(slice.size(), std::min(all.size() - after, max));
+      for (std::size_t i = 0; i < slice.size(); ++i)
+        expect_same_record(slice[i], all[after + i]);
+    }
+  }
+}
+
+// --- Store failure --------------------------------------------------------------
+
+// Log before delivery (§II.E): an input the stable store refused is neither
+// logged nor delivered, and its wire's seq and vt are free again. The
+// store is fail-stop, so every later injection fails too.
+TEST(RuntimeStoreFailureTest, InputsThatAreNotDurableAreNeverDelivered) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("tart_store_failure_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  Fig1App app;
+  RuntimeConfig config;
+  config.log_dir = dir.string();
+  config.durability.enabled = true;
+  Runtime rt(app.topo, app.single_engine(), config);
+  rt.start();
+
+  std::vector<InjectRequest> first;
+  for (int i = 0; i < 3; ++i)
+    first.push_back({app.in1, 1000 + i * 1000, testing_::sentence({"a"})});
+  for (const auto& r : rt.try_inject_batch(first))
+    ASSERT_EQ(r.status, InjectStatus::kOk);
+
+  std::filesystem::path segment;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    if (entry.path().extension() == ".seg") segment = entry.path();
+  ASSERT_FALSE(segment.empty());
+  // Cap the segment a few bytes past its size: the next write lands
+  // partially, then fails with EFBIG (SIGXFSZ ignored, or it kills).
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit capped = saved;
+  capped.rlim_cur = std::filesystem::file_size(segment) + 5;
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  const auto second = rt.try_inject_batch(
+      {{app.in1, 10000, testing_::sentence({"b"})},
+       {app.in2, 11000, testing_::sentence({"c"})}});
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, old_handler);
+  ASSERT_EQ(second.size(), 2u);
+  for (const auto& r : second) EXPECT_EQ(r.status, InjectStatus::kStoreFailed);
+
+  // The limit is gone, yet nothing is durable any more.
+  EXPECT_EQ(rt.try_inject_at(app.in2, VirtualTime(12000),
+                             testing_::sentence({"d"}))
+                .status,
+            InjectStatus::kStoreFailed);
+  EXPECT_THROW(rt.inject_at(app.in1, VirtualTime(13000),
+                            testing_::sentence({"e"})),
+               std::runtime_error);
+  EXPECT_THROW(rt.inject(app.in2, testing_::sentence({"f"})),
+               std::runtime_error);
+
+  const auto in1 = rt.external_input_state(app.in1);
+  EXPECT_EQ(in1.next_seq, 3u);
+  EXPECT_EQ(in1.last_vt, VirtualTime(3000));
+  const auto in2 = rt.external_input_state(app.in2);
+  EXPECT_EQ(in2.next_seq, 0u);
+  EXPECT_EQ(in2.last_vt, VirtualTime(-1));
+
+  ASSERT_TRUE(rt.drain());
+  const auto outputs = rt.output_records(app.out);
+  rt.stop();
+  ASSERT_EQ(outputs.size(), 3u);
+  for (const auto& r : outputs) {
+    EXPECT_EQ(r.origin_wire, app.in1);
+    EXPECT_LT(r.origin_seq, 3u);
+  }
+  EXPECT_EQ(rt.external_log().size(app.in1), 3u);
+  EXPECT_EQ(rt.external_log().size(app.in2), 0u);
+  std::filesystem::remove_all(dir);
 }
 
 // --- Two-way calls --------------------------------------------------------------

@@ -493,6 +493,116 @@ TEST_F(GatewayTest, LongPollWakesOnNewOutput) {
   EXPECT_TRUE(fresh_output_with_origin(resp.body, "late")) << resp.body;
 }
 
+// A parked poll is examined once per event, not on a re-check interval:
+// with no output at all, only its deadline wakes it.
+TEST_F(GatewayTest, IdleLongPollWakesOnceAtItsDeadline) {
+  start();
+  auto c = client();
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto resp = c.get("/outputs/out?wait_ms=300");
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, 280ms);
+  EXPECT_EQ(resp.status, 200);
+  EXPECT_TRUE(resp.body.empty()) << resp.body;
+  ASSERT_NE(resp.header("X-Tart-Next"), nullptr);
+  EXPECT_EQ(*resp.header("X-Tart-Next"), "0");
+  EXPECT_EQ(gw_->counters().poll_wakeups, 1u);
+}
+
+TEST_F(GatewayTest, ParkedPollAnswersWhenAnOutputLands) {
+  start();
+  ASSERT_EQ(rt_->try_inject_at(app_.in(), VirtualTime(1000), Payload("first"))
+                .status,
+            core::InjectStatus::kOk);
+  const auto give_up = std::chrono::steady_clock::now() + 10s;
+  while (rt_->output_records(app_.out()).empty() &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(1ms);
+  ASSERT_EQ(rt_->output_records(app_.out()).size(), 1u);
+
+  std::thread feeder([this] {
+    std::this_thread::sleep_for(100ms);
+    EXPECT_EQ(
+        rt_->try_inject_at(app_.in(), VirtualTime(2000), Payload("second"))
+            .status,
+        core::InjectStatus::kOk);
+    rt_->close_input(app_.in());
+  });
+  auto c = client();
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto resp = c.get("/outputs/out?after=1&wait_ms=60000");
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  feeder.join();
+  EXPECT_LT(waited, 5s) << "the poll must answer when the output lands";
+  EXPECT_EQ(resp.status, 200);
+  EXPECT_TRUE(fresh_output_with_origin(resp.body, "second")) << resp.body;
+  EXPECT_EQ(resp.body.find("first"), std::string::npos) << resp.body;
+  ASSERT_NE(resp.header("X-Tart-Next"), nullptr);
+  EXPECT_EQ(*resp.header("X-Tart-Next"), "2");
+  EXPECT_GE(gw_->counters().poll_wakeups, 1u);
+}
+
+// The first poll is answered by an output long before its 400 ms deadline;
+// the second, pipelined behind it, parks until its own 1500 ms deadline.
+// Had the first poll's timer survived, it would answer the second at 400 ms.
+TEST_F(GatewayTest, PipelinedPollOutlivesTheEarlierPollsDeadline) {
+  start();
+  auto c = client();
+  const auto t0 = std::chrono::steady_clock::now();
+  c.send_raw(
+      "GET /outputs/out?wait_ms=400 HTTP/1.1\r\n\r\n"
+      "GET /outputs/out?after=1&wait_ms=1500 HTTP/1.1\r\n"
+      "Connection: close\r\n\r\n");
+  std::this_thread::sleep_for(50ms);
+  ASSERT_EQ(rt_->try_inject_at(app_.in(), VirtualTime(1000), Payload("only"))
+                .status,
+            core::InjectStatus::kOk);
+  rt_->close_input(app_.in());
+  const std::string all = c.read_until_close(10s);
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, 1400ms) << all;
+
+  const auto first = all.find("HTTP/1.1 200");
+  const auto second = all.find("HTTP/1.1 200", first + 1);
+  ASSERT_NE(first, std::string::npos) << all;
+  ASSERT_NE(second, std::string::npos) << all;
+  const std::string one = all.substr(first, second - first);
+  const std::string two = all.substr(second);
+  EXPECT_NE(one.find("X-Tart-Next: 1\r\n"), std::string::npos) << one;
+  EXPECT_NE(one.find("\tonly\n"), std::string::npos) << one;
+  EXPECT_NE(two.find("X-Tart-Next: 1\r\n"), std::string::npos) << two;
+  EXPECT_NE(two.find("Content-Length: 0\r\n"), std::string::npos) << two;
+}
+
+TEST_F(GatewayTest, ShutdownWithAParkedPollIsPromptAndDetaches) {
+  start();
+  std::thread poller([this] {
+    auto c = gateway::BlockingHttpClient::connect(addr_);
+    ASSERT_TRUE(c.has_value());
+    try {
+      (void)c->get("/outputs/out?wait_ms=60000");
+    } catch (const std::exception&) {
+      // The gateway closed the connection under the parked poll.
+    }
+  });
+  const auto give_up = std::chrono::steady_clock::now() + 10s;
+  while (gw_->counters().requests == 0 &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(1ms);
+  std::this_thread::sleep_for(50ms);  // parsed; now parked on the loop
+  const auto t0 = std::chrono::steady_clock::now();
+  gw_->shutdown();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 2s);
+  poller.join();
+
+  // Outputs delivered after the gateway is gone must not reach it (ASan
+  // reports a use-after-free if the runtime still calls its listener).
+  gw_.reset();
+  ASSERT_EQ(rt_->try_inject_at(app_.in(), VirtualTime(1000), Payload("late"))
+                .status,
+            core::InjectStatus::kOk);
+  ASSERT_TRUE(rt_->drain());
+  EXPECT_EQ(rt_->output_records(app_.out()).size(), 1u);
+}
+
 TEST_F(GatewayTest, PipelinedRequestsAnswerInOrder) {
   start();
   auto c = client();
