@@ -87,11 +87,13 @@ fi
 
 # ThreadSanitizer subset: the suites whose threads cross into each other —
 # runner threads calling the gateway's output listener, which posts to the
-# gateway loop; group commit against probes; trace writers. Built and run
-# by name so a filter change in the suites can't silently drop them.
+# gateway loop; group commit against probes; trace writers; staged bursts
+# routed between runners while probes read their counts and horizons, and
+# across crash/recover. Built and run by name so a filter change in the
+# suites can't silently drop them.
 echo "== ThreadSanitizer subset =="
 tsan_tests=(gateway_test core_runtime_test stable_store_test
-            trace_determinism_test)
+            trace_determinism_test property_determinism_test recovery_test)
 cmake -B build-tsan -S . -DTART_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$(nproc)" --target "${tsan_tests[@]}"
 for t in "${tsan_tests[@]}"; do

@@ -12,9 +12,7 @@ void WordCountSender::on_message(core::Context& ctx, PortId /*port*/,
   std::int64_t count = 0;
   for (const auto& word : sent) {
     ctx.count_block(0);
-    const std::int64_t prior = map_.contains(word) ? *map_.find(word) : 0;
-    map_.put(word, prior + 1);
-    count += prior;
+    map_.update(word, [&](std::int64_t& seen) { count += seen++; });
   }
   ctx.send(PortId(0), Payload(count));
 }

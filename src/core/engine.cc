@@ -171,6 +171,17 @@ void Engine::deliver_to_receiver(WireId wire, const transport::Frame& frame) {
   }
 }
 
+void Engine::deliver_batch(WireId wire, std::vector<Message>& batch) {
+  const auto& spec = topology_.wire(wire);
+  const auto r = pin(spec.to);
+  if (r == nullptr) return;  // crashed: the machine is gone, frames lost
+  if (spec.kind == WireKind::kReply) {
+    for (const Message& m : batch) r->deliver_reply(m);
+  } else {
+    r->deliver_batch(batch);
+  }
+}
+
 void Engine::deliver_to_sender(WireId wire, const transport::Frame& frame) {
   const auto& spec = topology_.wire(wire);
   const auto r = pin(spec.from);

@@ -86,6 +86,9 @@ class Engine {
   // Frame dispatch (called by the Runtime's router).
   void deliver_to_receiver(WireId wire, const transport::Frame& frame);
   void deliver_to_sender(WireId wire, const transport::Frame& frame);
+  /// A burst of data messages on one wire, pinned and handed over once
+  /// (ComponentRunner::deliver_batch); the messages are moved out.
+  void deliver_batch(WireId wire, std::vector<Message>& batch);
 
   [[nodiscard]] std::shared_ptr<ComponentRunner> runner(
       ComponentId component) const;

@@ -53,7 +53,11 @@ namespace tart::core {
   X(gaps_detected, "tart_gaps_detected_total",                                \
     "Sequence gaps detected (lost ticks needing replay)", SUM, 1.0)           \
   X(checkpoints_taken, "tart_checkpoints_taken_total",                        \
-    "Soft checkpoints shipped to the passive replica", SUM, 1.0)
+    "Soft checkpoints shipped to the passive replica", SUM, 1.0)              \
+  X(handoff_batches, "tart_handoff_batches_total",                            \
+    "Staged data bursts routed, one per output wire per flush", SUM, 1.0)     \
+  X(handoff_frames, "tart_handoff_frames_total",                              \
+    "Data frames carried by those bursts", SUM, 1.0)
 
 // Process-wide counters filled in by the tracer, the socket transport
 // (NetHost), stable storage, and the HTTP ingress gateway. Zero when the

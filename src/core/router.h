@@ -6,6 +6,8 @@
 // cross-engine hops through simulated network links.
 #pragma once
 
+#include <vector>
+
 #include "common/ids.h"
 #include "transport/frame.h"
 
@@ -18,6 +20,13 @@ class FrameRouter {
   /// Delivers a frame to the receiving end of `wire` (component inbox,
   /// reply slot, or external consumer).
   virtual void to_receiver(WireId wire, transport::Frame frame) = 0;
+
+  /// Delivers a burst of data messages on `wire`, in order, as if each
+  /// were a DataFrame passed to to_receiver. The messages are moved out;
+  /// the emptied vector stays with the caller, which keeps its capacity
+  /// for the next burst (nothing is freed on the receiving thread).
+  virtual void to_receiver_batch(WireId wire,
+                                 std::vector<Message>& batch) = 0;
 
   /// Delivers a frame to the sending end of `wire` (component runner or
   /// external input adapter).

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <set>
+#include <utility>
 
 #include "common/logging.h"
 #include "obs/prof.h"
@@ -77,6 +78,9 @@ class RunnerContext final : public Context {
                              runner_.name_);
     const WireId reply_wire = call_out->spec.paired;
     const std::uint64_t call_id = call_out->next_seq.load();  // deterministic
+    // The callee may merge our data wires too: nothing staged may wait on
+    // a reply that waits on it.
+    runner_.flush_staged();
 
     {
       // Arm the rendezvous before routing, so a fast reply can't race past.
@@ -251,46 +255,59 @@ void ComponentRunner::stop() {
 // Frame entry points
 
 void ComponentRunner::deliver_data(const Message& m) {
-  AcceptResult result = AcceptResult::kAccepted;
-  VirtualTime gap_after;
-  std::uint64_t gap_seq = 0;
-  bool dup_call = false;
+  std::optional<transport::ReplayRequestFrame> gap;
   {
     const std::lock_guard<std::mutex> lk(mu_);
-    if (m.vt <= max_arrival_vt_) metrics_.out_of_order_arrivals.inc();
-    max_arrival_vt_ = max(max_arrival_vt_, m.vt);
+    gap = accept_locked(Message(m));
+  }
+  cv_.notify_all();
+  if (gap) router_.to_sender(m.wire, *gap);
+}
 
-    if (config_.mode == SchedulingMode::kArrivalOrder) {
-      arrival_queue_.push_back(m);
-    } else {
-      result = inbox_.offer(m);
-      switch (result) {
-        case AcceptResult::kAccepted:
-          break;
-        case AcceptResult::kDuplicate:
-          metrics_.duplicates_discarded.inc();
-          // A re-sent call means the caller recovered and re-executed: the
-          // retained reply must be re-sent (the original may have died with
-          // the caller's engine).
-          if (m.kind == MessageKind::kCall) {
-            control_.push_back(DupCallCtl{m.wire, m.call_id});
-            dup_call = true;
-          }
-          break;
-        case AcceptResult::kGap:
-          metrics_.gaps_detected.inc();
-          gap_after = inbox_.wire_horizon(m.wire);
-          gap_seq = inbox_.next_seq(m.wire);
-          break;
-      }
+void ComponentRunner::deliver_batch(std::vector<Message>& batch) {
+  if (batch.empty()) return;
+  const WireId wire = batch.front().wire;
+  std::optional<transport::ReplayRequestFrame> gap;
+  {
+    const std::lock_guard<std::mutex> lk(mu_);
+    for (Message& m : batch) {
+      auto g = accept_locked(std::move(m));
+      // Everything after the first gap on the wire gaps too; one replay
+      // request from the first missing seq covers them all.
+      if (g && !gap) gap = g;
     }
   }
   cv_.notify_all();
-  (void)dup_call;
-  if (result == AcceptResult::kGap) {
-    router_.to_sender(
-        m.wire, transport::ReplayRequestFrame{m.wire, gap_after, gap_seq});
+  if (gap) router_.to_sender(wire, *gap);
+}
+
+std::optional<transport::ReplayRequestFrame> ComponentRunner::accept_locked(
+    Message&& m) {
+  if (m.vt <= max_arrival_vt_) metrics_.out_of_order_arrivals.inc();
+  max_arrival_vt_ = max(max_arrival_vt_, m.vt);
+  if (config_.mode == SchedulingMode::kArrivalOrder) {
+    arrival_queue_.push_back(std::move(m));
+    return std::nullopt;
   }
+  const WireId wire = m.wire;
+  const bool is_call = m.kind == MessageKind::kCall;
+  const std::uint64_t call_id = m.call_id;
+  switch (inbox_.offer(std::move(m))) {
+    case AcceptResult::kAccepted:
+      break;
+    case AcceptResult::kDuplicate:
+      metrics_.duplicates_discarded.inc();
+      // A re-sent call means the caller recovered and re-executed: the
+      // retained reply must be re-sent (the original may have died with
+      // the caller's engine).
+      if (is_call) control_.push_back(DupCallCtl{wire, call_id});
+      break;
+    case AcceptResult::kGap:
+      metrics_.gaps_detected.inc();
+      return transport::ReplayRequestFrame{wire, inbox_.wire_horizon(wire),
+                                           inbox_.next_seq(wire)};
+  }
+  return std::nullopt;
 }
 
 void ComponentRunner::deliver_silence(WireId wire, VirtualTime through,
@@ -424,7 +441,11 @@ void ComponentRunner::run() {
           lk.unlock();
           process(m);
           lk.lock();
-          in_handler_ = false;
+          if (++burst_ == kMaxBurst) end_burst(lk);
+          continue;
+        }
+        if (in_handler_) {
+          end_burst(lk);
           continue;
         }
         if (inbox_.exhausted() && !final_silence_sent_) {
@@ -478,7 +499,13 @@ void ComponentRunner::run() {
         lk.unlock();
         process(*m);
         lk.lock();
-        in_handler_ = false;
+        if (++burst_ == kMaxBurst) end_burst(lk);
+        continue;
+      }
+
+      // No eligible head: the burst ends before anything waits.
+      if (in_handler_) {
+        end_burst(lk);
         continue;
       }
 
@@ -590,21 +617,42 @@ void ComponentRunner::run() {
       if (stop_.load()) break;
       cv_.wait_for(lk, std::chrono::milliseconds(1));
     }
+    // Stopped mid-burst: what the burst sent goes out, so seal_outputs
+    // (migration) and receivers see every frame next_seq will count.
+    if (in_handler_) end_burst(lk);
   } catch (const StopSignal&) {
     // Blocked call interrupted by stop/crash; thread exits, state dropped.
+    // (Nothing is staged: a call flushes before it blocks.)
     if (!lk.owns_lock()) lk.lock();
     in_handler_ = false;
   } catch (const std::exception& e) {
     // A component bug (bad payload access, send on an unconnected port,
     // handler exception): the component fail-stops — equivalent to its
     // engine losing this component — rather than taking the process down.
+    // What the burst's handlers sent before the failure still goes out.
     TART_ERROR << "component '" << name_ << "' failed: " << e.what();
-    if (!lk.owns_lock()) lk.lock();
+    if (lk.owns_lock()) lk.unlock();
+    flush_staged();
+    lk.lock();
     in_handler_ = false;
   }
 }
 
+void ComponentRunner::end_burst(std::unique_lock<std::mutex>& lk) {
+  lk.unlock();
+  flush_staged();
+  lk.lock();
+  // Only now: a quiescence check between the flush and here still sees
+  // the runner busy, never idle with output in hand.
+  in_handler_ = false;
+  burst_ = 0;
+}
+
 void ComponentRunner::drain_control(std::unique_lock<std::mutex>& lk) {
+  if (control_.empty()) return;
+  // Control reads retention and positions (replay requests, checkpoints):
+  // the open burst is routed first.
+  if (in_handler_) end_burst(lk);
   while (!control_.empty()) {
     ControlMsg msg = std::move(control_.front());
     control_.pop_front();
@@ -619,8 +667,9 @@ void ComponentRunner::serve_control(const ControlMsg& msg) {
     const auto it = outputs_.find(replay->wire);
     if (it == outputs_.end()) return;
     OutputState& out = *it->second;
-    for (const Message& m : out.retention.replay_from_seq(replay->from_seq))
-      router_.to_receiver(m.wire, transport::DataFrame{m});
+    std::vector<Message> resend =
+        out.retention.replay_from_seq(replay->from_seq);
+    router_.to_receiver_batch(replay->wire, resend);
     // Follow with the current horizon so the receiver is not stuck waiting
     // for silence that was announced before its failover.
     const std::uint64_t seq = out.next_seq.load();
@@ -806,7 +855,7 @@ VirtualTime ComponentRunner::emit(OutputState& out, VirtualTime cursor,
   Message msg;
   msg.wire = out.spec.id;
   msg.vt = vt;
-  msg.seq = out.next_seq.load(std::memory_order_relaxed);
+  msg.seq = out.next_seq.load(std::memory_order_relaxed) + out.staged.size();
   msg.kind = kind;
   msg.call_id = call_id;
   // Causal inheritance: whatever input triggered the dispatch we are
@@ -827,13 +876,43 @@ VirtualTime ComponentRunner::emit(OutputState& out, VirtualTime cursor,
   TART_PROF_BYTES("runner.retention", msg.payload.approx_bytes());
   out.retention.record(msg);
   out.last_sent = vt;
-  router_.to_receiver(out.spec.id, transport::DataFrame{msg});
+  if (kind == MessageKind::kData) {
+    // Staged: the burst is routed as one batch by flush_staged, and until
+    // then advance_published keeps the horizon below its first tick.
+    out.staged.push_back(std::move(msg));
+    ++staged_frames_;
+    advance_published(out, vt);
+    return vt;
+  }
+  // Calls and replies go at once (a caller blocks on them).
+  const std::uint64_t seq = msg.seq;
+  router_.to_receiver(out.spec.id, transport::DataFrame{std::move(msg)});
   // Only after the data frame is en route may the accounting cover its
   // tick — otherwise a concurrent probe response could claim a data tick
   // (count or horizon) the receiver has not seen yet.
-  out.next_seq.store(msg.seq + 1, std::memory_order_relaxed);
+  out.next_seq.store(seq + 1, std::memory_order_relaxed);
   advance_published(out, vt);
   return vt;
+}
+
+void ComponentRunner::flush_staged() {
+  if (staged_frames_ == 0) return;
+  TART_PROF_SPAN("runner.flush");
+  for (auto& [wid, out] : outputs_) {
+    if (out->staged.empty()) continue;
+    const std::uint64_t frames = out->staged.size();
+    const std::uint64_t next_seq = out->staged.back().seq + 1;
+    router_.to_receiver_batch(wid, out->staged);
+    out->staged.clear();
+    // The same rule as emit's: the count and the horizon cover the burst
+    // only once it is en route.
+    out->next_seq.store(next_seq, std::memory_order_relaxed);
+    advance_published(*out, std::exchange(out->wanted, VirtualTime(-1)));
+    metrics_.handoff_batches.inc();
+    metrics_.handoff_frames.inc(frames);
+  }
+  staged_frames_ = 0;
+  flush_probe_responses();
 }
 
 // ---------------------------------------------------------------------------
@@ -841,6 +920,10 @@ VirtualTime ComponentRunner::emit(OutputState& out, VirtualTime cursor,
 
 void ComponentRunner::advance_published(OutputState& out,
                                         VirtualTime through) {
+  if (!out.staged.empty()) {
+    out.wanted = max(out.wanted, through);
+    through = min(through, out.staged.front().vt.prev());
+  }
   std::int64_t cur = out.published.load();
   while (through.ticks() > cur &&
          !out.published.compare_exchange_weak(cur, through.ticks())) {
@@ -880,7 +963,7 @@ void ComponentRunner::publish_idle_horizons_locked() {
   // timer wire's input horizon and the component's own output horizon.
   VirtualTime lb = VirtualTime::infinity();
   for (const WireId w : nonself_wires_) lb = min(lb, inbox_.wire_horizon(w).next());
-  if (const auto head = inbox_.peek()) lb = min(lb, head->vt);
+  if (const auto head = inbox_.head_vt()) lb = min(lb, *head);
   lb = max(lb, current_vt_);
 
   const bool closed = inbox_.exhausted();
@@ -904,6 +987,7 @@ void ComponentRunner::publish_idle_horizons_locked() {
 }
 
 void ComponentRunner::publish_final_silence() {
+  flush_staged();
   std::vector<SilenceUpdate> updates;
   for (auto& [wid, out] : outputs_) {
     advance_published(*out, VirtualTime::infinity());
@@ -958,6 +1042,8 @@ void ComponentRunner::maybe_checkpoint() {
 }
 
 void ComponentRunner::capture_checkpoint() {
+  // Positions and retention must agree: route what is staged first.
+  flush_staged();
   checkpoint::ComponentSnapshot s;
   s.component = id_;
   s.version = ++checkpoint_version_;
@@ -1122,6 +1208,7 @@ ComponentStatus ComponentRunner::status() const {
   if (config_.mode == SchedulingMode::kArrivalOrder)
     st.pending += arrival_queue_.size();
   st.exhausted = !in_handler_ && inbox_.exhausted();
+  st.busy = in_handler_;
   const auto head = inbox_.peek();
   st.held = head.has_value() && !inbox_.head_eligible();
   if (st.held) {

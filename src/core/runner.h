@@ -11,6 +11,8 @@
 //   - stamps outgoing messages with deterministic virtual arrival times
 //     (compute estimate + communication-delay estimate, optionally rounded
 //     up by the hyper-aggressive bias policy);
+//   - stages the data frames a burst of handlers emits and routes each
+//     wire's burst as one batch (flush_staged);
 //   - publishes per-output-wire silence horizons (lock-free, so probe
 //     servicing never blocks on a busy or blocked component);
 //   - retains sent messages until downstream stability acknowledgements
@@ -25,6 +27,10 @@
 // retention, estimators) is touched only by the runner thread; published
 // horizons are atomics readable by any thread. Frames are never routed
 // while holding `mu_` (no lock-order cycles between runners).
+//
+// Staging: `in_handler_` stays set from the first dispatch of a burst
+// until its staged frames are routed, so quiescence (exhausted(), status
+// busy) never reports a runner idle with output still in hand.
 #pragma once
 
 #include <atomic>
@@ -119,6 +125,10 @@ class ComponentRunner {
   // --- Frame entry points (any thread) -----------------------------------
 
   void deliver_data(const Message& m);
+  /// A burst of data messages on one wire: one lock, messages moved into
+  /// the inbox, one wake, and one replay request for the first gap. The
+  /// emptied vector stays with the caller.
+  void deliver_batch(std::vector<Message>& batch);
   void deliver_silence(WireId wire, VirtualTime through,
                        std::uint64_t expected_seq = 0);
   void deliver_reply(const Message& m);
@@ -190,8 +200,15 @@ class ComponentRunner {
   struct OutputState {
     WireSpec spec;
     /// Written only by the runner thread; read by probe servicing from any
-    /// thread (it travels in SilenceFrame::expected_seq).
+    /// thread (it travels in SilenceFrame::expected_seq). Counts routed
+    /// frames only: staged ones are not yet covered.
     std::atomic<std::uint64_t> next_seq{0};
+    /// Data frames emitted but not yet routed (runner thread only); their
+    /// seqs continue from next_seq. Kept between bursts for its capacity.
+    std::vector<Message> staged;
+    /// Highest horizon asked for while frames were staged; published once
+    /// the burst is routed (runner thread only).
+    VirtualTime wanted = VirtualTime(-1);
     VirtualTime last_sent = VirtualTime(-1);
     RetentionBuffer retention;
     std::unique_ptr<estimator::CommDelayEstimator> delay;
@@ -211,8 +228,23 @@ class ComponentRunner {
   /// Thrown out of a blocked call when the runner is stopped/crashed.
   struct StopSignal {};
 
+  /// Handlers a burst may run before its staged frames are routed: bounds
+  /// how long downstream waits on a busy sender, keeping the pipeline
+  /// overlapped.
+  static constexpr std::uint32_t kMaxBurst = 64;
+
   void run();
   void process(const Message& m);
+  /// Offers one arriving message (mu_ held); returns the replay request
+  /// to send when it revealed a gap.
+  std::optional<transport::ReplayRequestFrame> accept_locked(Message&& m);
+  /// Routes the burst's staged frames and closes it (in_handler_ cleared).
+  /// Called with `lk` held; routes with it released.
+  void end_burst(std::unique_lock<std::mutex>& lk);
+  /// Routes every output wire's staged frames as one batch per wire, then
+  /// lets next_seq and the published horizon cover them. Runner thread, no
+  /// locks held.
+  void flush_staged();
   void drain_control(std::unique_lock<std::mutex>& lk);
   void serve_control(const ControlMsg& msg);
   void send_probes();
@@ -231,6 +263,8 @@ class ComponentRunner {
   /// Publishes horizons between handlers, from the inbox lower bound.
   /// Requires `mu_`.
   void publish_idle_horizons_locked();
+  /// Raises the published horizon to `through`; while frames are staged on
+  /// the wire it stops below the first staged vt and remembers the rest.
   void advance_published(OutputState& out, VirtualTime through);
   /// Publishes +inf on all outputs and routes final silence frames.
   void publish_final_silence();
@@ -290,6 +324,9 @@ class ComponentRunner {
   std::map<WireId, VirtualTime> last_reply_;      // reply-wire positions
   std::map<WireId, std::unique_ptr<OutputState>> outputs_;
   std::uint64_t processed_since_checkpoint_ = 0;
+  /// Handlers run in the open burst, and frames staged across all outputs.
+  std::uint32_t burst_ = 0;
+  std::size_t staged_frames_ = 0;
   std::uint64_t checkpoint_version_ = 0;
   bool force_full_checkpoint_ = true;
 

@@ -467,11 +467,20 @@ std::vector<OutputRecord> Runtime::output_records(WireId output_wire,
   return {first, first + static_cast<std::ptrdiff_t>(n)};
 }
 
-void Runtime::set_output_listener(OutputListener listener) {
+Runtime::OutputListenerId Runtime::add_output_listener(
+    OutputListener listener) {
   const std::lock_guard<std::mutex> lk(output_listener_mu_);
-  has_output_listener_.store(static_cast<bool>(listener),
+  const OutputListenerId id = next_output_listener_++;
+  output_listeners_.emplace(id, std::move(listener));
+  has_output_listener_.store(true, std::memory_order_release);
+  return id;
+}
+
+void Runtime::remove_output_listener(OutputListenerId id) {
+  const std::lock_guard<std::mutex> lk(output_listener_mu_);
+  output_listeners_.erase(id);
+  has_output_listener_.store(!output_listeners_.empty(),
                              std::memory_order_release);
-  output_listener_ = std::move(listener);
 }
 
 void Runtime::deliver_external_output(WireId wire,
@@ -504,7 +513,7 @@ void Runtime::deliver_external_output(WireId wire,
   }
   if (has_output_listener_.load(std::memory_order_acquire)) {
     const std::lock_guard<std::mutex> lk(output_listener_mu_);
-    if (output_listener_) output_listener_(wire);
+    for (const auto& [id, listener] : output_listeners_) listener(wire);
   }
   const std::int64_t deliver_ns = wall_now_ns();
   if (tracer_ != nullptr &&
@@ -565,9 +574,11 @@ void Runtime::handle_external_sender_frame(WireId wire,
                  std::get_if<transport::ReplayRequestFrame>(&frame)) {
     // "If the 'sender' is an external component ... the messages are
     // re-sent from the log" (§II.F.4).
-    for (const Message& m :
-         message_log_.replay_from_seq(wire, replay->from_seq))
-      to_receiver(wire, transport::DataFrame{m});
+    // The suffix travels as one batch: copied out of the log once, then
+    // moved all the way into the receiver's inbox.
+    std::vector<Message> suffix =
+        message_log_.replay_from_seq(wire, replay->from_seq);
+    to_receiver_batch(wire, suffix);
     bool closed;
     VirtualTime through;
     std::uint64_t seq;
@@ -713,6 +724,29 @@ void Runtime::to_receiver(WireId wire, transport::Frame frame) {
                            ? dst
                            : engine_of(spec.from);
   route(src, dst, wire, std::move(frame));
+}
+
+void Runtime::to_receiver_batch(WireId wire, std::vector<Message>& batch) {
+  if (batch.empty()) return;
+  const auto& spec = topology_.wire(wire);
+  if (spec.kind != WireKind::kExternalOutput) {
+    // The route, resolved once for the whole burst (as in to_receiver).
+    const EngineId dst = engine_of(spec.to);
+    const EngineId src =
+        spec.kind == WireKind::kExternalInput || !spec.from.is_valid()
+            ? dst
+            : engine_of(spec.from);
+    // A local receiver with no simulated link in between takes the burst
+    // in one hand-off; remote peers, links and external outputs keep
+    // per-frame routing.
+    if (engine_is_local(dst) &&
+        (src == dst || bridge_between(src, dst) == nullptr)) {
+      engines_.at(dst)->deliver_batch(wire, batch);
+      return;
+    }
+  }
+  for (Message& m : batch)
+    to_receiver(wire, transport::DataFrame{std::move(m)});
 }
 
 void Runtime::to_sender(WireId wire, transport::Frame frame) {

@@ -178,12 +178,16 @@ class Runtime final : public FrameRouter {
       std::size_t max = SIZE_MAX) const;
 
   using OutputListener = std::function<void(WireId output_wire)>;
-  /// The listener runs after a record is appended to ANY local output
-  /// sink, on the delivering thread and outside the sink's lock. One per
-  /// runtime (sinks created by adoption are covered); setting replaces the
-  /// previous one. Setting an empty listener waits out a call in progress,
-  /// so once it returns the old listener never runs again.
-  void set_output_listener(OutputListener listener);
+  /// Names one registered listener; never 0.
+  using OutputListenerId = std::uint64_t;
+  /// Registers a listener that runs after a record is appended to ANY
+  /// local output sink, on the delivering thread and outside the sink's
+  /// lock (sinks created by adoption are covered). Listeners are
+  /// independent: each gateway on a runtime registers its own.
+  OutputListenerId add_output_listener(OutputListener listener);
+  /// Unregisters `id` (unknown ids are ignored). Waits out a call in
+  /// progress, so once it returns that listener never runs again.
+  void remove_output_listener(OutputListenerId id);
 
   // --- Partition-aware wiring (multi-process deployments) ------------------
 
@@ -370,6 +374,7 @@ class Runtime final : public FrameRouter {
   // --- FrameRouter ----------------------------------------------------------
 
   void to_receiver(WireId wire, transport::Frame frame) override;
+  void to_receiver_batch(WireId wire, std::vector<Message>& batch) override;
   void to_sender(WireId wire, transport::Frame frame) override;
 
  private:
@@ -469,10 +474,11 @@ class Runtime final : public FrameRouter {
   RecoveryInfo recovery_;
   std::atomic<bool> outputs_suppressed_{false};
 
-  /// set_output_listener: the flag spares deliveries the lock when no
-  /// listener is set; calls run under the mutex, which setters wait on.
+  /// Output listeners: the flag spares deliveries the lock when none is
+  /// registered; calls run under the mutex, which removal waits on.
   std::mutex output_listener_mu_;
-  OutputListener output_listener_;
+  std::map<OutputListenerId, OutputListener> output_listeners_;
+  OutputListenerId next_output_listener_ = 1;
   std::atomic<bool> has_output_listener_{false};
 
   /// Owned here, not by the engines: a component's trace stream (and its

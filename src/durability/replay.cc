@@ -8,8 +8,10 @@ namespace tart::durability {
 
 namespace {
 
-/// One quiescence probe: no component has RUNNABLE work, and every
-/// external input wire's consumer has accounted the log's full horizon.
+/// One quiescence probe: no component has RUNNABLE work or a burst in
+/// hand (busy: handlers running, or their staged output not yet routed),
+/// and every external input wire's consumer has accounted the log's full
+/// horizon.
 /// A held component (pending messages blocked awaiting silence from a
 /// still-open wire) IS caught up: the pre-crash system was in exactly the
 /// same blocked state, and only new input or silence can move it — replay
@@ -18,6 +20,7 @@ bool caught_up_once(core::Runtime& runtime) {
   const core::StatusReport report = runtime.status();
   for (const auto& component : report.components) {
     if (component.crashed) continue;  // deliberately down; not our wait
+    if (component.busy) return false;
     if (component.pending != 0 && !component.held) return false;
   }
   for (const WireId wire : runtime.external_input_wires()) {
@@ -46,8 +49,10 @@ ReplayStats ReplayDriver::catch_up(core::Runtime& runtime,
   stats.covered_records = runtime.recovery_info().covered_records;
   stats.suffix_records = runtime.recovery_info().suffix_records;
 
-  // Two consecutive quiet probes: a single one can race a frame in flight
-  // between a runner's dequeue and the next component's inbox.
+  // Two consecutive quiet probes. `busy` covers a burst still in one
+  // runner's hands; a single probe can still race a burst routed between
+  // the reads of two runners (upstream hands off to a downstream runner
+  // already read as quiet, then reads as quiet itself).
   int quiet = 0;
   while (std::chrono::steady_clock::now() < deadline) {
     if (caught_up_once(runtime)) {

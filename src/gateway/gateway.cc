@@ -167,7 +167,8 @@ Gateway::Gateway(core::Runtime* runtime, Options options,
   });
   loop_thread_ = std::thread([this] { loop_.run(); });
   // Last: nothing above may throw once a runner thread can call back here.
-  runtime_->set_output_listener([this](WireId wire) { on_output(wire); });
+  output_listener_ =
+      runtime_->add_output_listener([this](WireId wire) { on_output(wire); });
 }
 
 Gateway::~Gateway() { shutdown(); }
@@ -178,7 +179,7 @@ void Gateway::shutdown() {
   if (stopping_.load()) return;
   // Before anything else: once this returns, no runner thread can post()
   // into the loop being torn down below.
-  runtime_->set_output_listener({});
+  runtime_->remove_output_listener(output_listener_);
   {
     // The flag flips under the committer's mutex: a committer between its
     // predicate check and its wait would otherwise miss both the store and

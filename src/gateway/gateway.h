@@ -253,6 +253,8 @@ class Gateway {
 
   net::Fd listener_;
   std::uint16_t port_ = 0;
+  /// This gateway's registration with the runtime's output listeners.
+  core::Runtime::OutputListenerId output_listener_ = 0;
 
   net::EventLoop loop_;
   std::thread loop_thread_;

@@ -57,15 +57,11 @@ void ExternalMessageLog::load_from(const std::string& path) {
   const std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& record : FileStableStore::scan(path)) {
     serde::Reader r(record);
-    const Message m = Message::decode(r);
-    entries_[m.wire].push_back(m);
+    Message m = Message::decode(r);
     order_.emplace_back(m.wire, m.seq);
+    entries_[m.wire].push_back(std::move(m));
   }
-  // Batched appends from one writer may interleave with single appends
-  // from another across wires; per wire the seq order is authoritative.
-  for (auto& [wire, list] : entries_)
-    std::sort(list.begin(), list.end(),
-              [](const Message& a, const Message& b) { return a.seq < b.seq; });
+  sort_loaded();
 }
 
 void ExternalMessageLog::load_records(
@@ -75,7 +71,7 @@ void ExternalMessageLog::load_records(
   order_base_ = first_index;
   for (const auto& record : records) {
     serde::Reader r(record);
-    const Message m = Message::decode(r);
+    Message m = Message::decode(r);
     // The order index must mirror the store record-for-record — including
     // covered records whose segment has not been reclaimed yet — or a
     // later covered_record_index would point at the wrong segment.
@@ -83,11 +79,21 @@ void ExternalMessageLog::load_records(
     const auto base = base_seq_.find(m.wire);
     if (base != base_seq_.end() && m.seq < base->second)
       continue;  // covered by the restored checkpoint
-    entries_[m.wire].push_back(m);
+    entries_[m.wire].push_back(std::move(m));
   }
+  sort_loaded();
+}
+
+void ExternalMessageLog::sort_loaded() {
+  // Batched appends from one writer may interleave with single appends
+  // from another across wires; per wire the seq order is authoritative.
+  // A wire is nearly always stored in order, so check before sorting.
+  const auto by_seq = [](const Message& a, const Message& b) {
+    return a.seq < b.seq;
+  };
   for (auto& [wire, list] : entries_)
-    std::sort(list.begin(), list.end(),
-              [](const Message& a, const Message& b) { return a.seq < b.seq; });
+    if (!std::is_sorted(list.begin(), list.end(), by_seq))
+      std::sort(list.begin(), list.end(), by_seq);
 }
 
 void ExternalMessageLog::set_base(WireId wire, std::uint64_t next_seq,
@@ -111,12 +117,13 @@ std::vector<Message> ExternalMessageLog::replay_after(
 std::vector<Message> ExternalMessageLog::replay_from_seq(
     WireId wire, std::uint64_t from_seq) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<Message> out;
   const auto it = entries_.find(wire);
-  if (it == entries_.end()) return out;
-  for (const Message& m : it->second)
-    if (m.seq >= from_seq) out.push_back(m);
-  return out;
+  if (it == entries_.end()) return {};
+  const auto& list = it->second;  // sorted by seq
+  const auto first = std::lower_bound(
+      list.begin(), list.end(), from_seq,
+      [](const Message& m, std::uint64_t s) { return m.seq < s; });
+  return {first, list.end()};
 }
 
 std::uint64_t ExternalMessageLog::size(WireId wire) const {

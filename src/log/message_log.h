@@ -103,7 +103,8 @@ class ExternalMessageLog {
   void attach_store(StableSink* store);
 
   /// Reloads a log persisted by attach_store. Call on an empty log before
-  /// re-attaching a store.
+  /// re-attaching a store. Decoded messages are moved into the log; a wire
+  /// is sorted by seq only when its records were stored out of order.
   void load_from(const std::string& path);
 
   /// Reloads from pre-scanned store records whose first record has global
@@ -115,6 +116,9 @@ class ExternalMessageLog {
 
  private:
   void append_locked(const Message& message);
+  /// After a load (mutex_ held): sorts by seq each wire whose records
+  /// were stored out of order.
+  void sort_loaded();
 
   mutable std::mutex mutex_;
   std::map<WireId, std::vector<Message>> entries_;

@@ -40,11 +40,7 @@ __attribute__((cold, noinline)) void Inbox::trace_gap(
                  m.seq);
 }
 
-AcceptResult Inbox::offer(const Message& m) {
-  auto it = wires_.find(m.wire);
-  assert(it != wires_.end() && "message for unregistered wire");
-  WireState& w = it->second;
-
+AcceptResult Inbox::classify(WireState& w, const Message& m) {
   // Duplicate: vt already accounted (silent or delivered/pending data).
   // Replayed messages re-arrive with their original (identical) timestamps
   // and are discarded here.
@@ -68,8 +64,24 @@ AcceptResult Inbox::offer(const Message& m) {
   // The message's vt accounts all earlier ticks as (implied) silence and
   // its own tick as data.
   w.horizon = m.vt;
-  w.pending.push_back(m);
   return AcceptResult::kAccepted;
+}
+
+AcceptResult Inbox::offer(const Message& m) {
+  auto it = wires_.find(m.wire);
+  assert(it != wires_.end() && "message for unregistered wire");
+  const AcceptResult result = classify(it->second, m);
+  if (result == AcceptResult::kAccepted) it->second.pending.push_back(m);
+  return result;
+}
+
+AcceptResult Inbox::offer(Message&& m) {
+  auto it = wires_.find(m.wire);
+  assert(it != wires_.end() && "message for unregistered wire");
+  const AcceptResult result = classify(it->second, m);
+  if (result == AcceptResult::kAccepted)
+    it->second.pending.push_back(std::move(m));
+  return result;
 }
 
 bool Inbox::announce_silence(WireId wire, VirtualTime through,
@@ -87,20 +99,29 @@ bool Inbox::announce_silence(WireId wire, VirtualTime through,
   return false;
 }
 
-std::optional<Message> Inbox::peek() const {
-  const WireState* best = nullptr;
-  WireId best_id;
-  for (const auto& [id, w] : wires_) {
-    if (w.pending.empty()) continue;
-    const Message& head = w.pending.front();
-    if (best == nullptr ||
-        head.key() < std::pair{best->pending.front().vt, best_id}) {
-      best = &w;
-      best_id = id;
-    }
+std::map<WireId, Inbox::WireState>::const_iterator Inbox::head() const {
+  auto best = wires_.end();
+  for (auto it = wires_.begin(); it != wires_.end(); ++it) {
+    if (it->second.pending.empty()) continue;
+    // Wires iterate in id order, so a strictly smaller vt is the only way
+    // a later wire's front can order first.
+    if (best == wires_.end() ||
+        it->second.pending.front().vt < best->second.pending.front().vt)
+      best = it;
   }
-  if (best == nullptr) return std::nullopt;
-  return best->pending.front();
+  return best;
+}
+
+std::optional<Message> Inbox::peek() const {
+  const auto h = head();
+  if (h == wires_.end()) return std::nullopt;
+  return h->second.pending.front();
+}
+
+std::optional<VirtualTime> Inbox::head_vt() const {
+  const auto h = head();
+  if (h == wires_.end()) return std::nullopt;
+  return h->second.pending.front().vt;
 }
 
 bool Inbox::permits(const WireState& w, WireId other_id, VirtualTime t,
@@ -117,32 +138,39 @@ bool Inbox::permits(const WireState& w, WireId other_id, VirtualTime t,
   return h >= t.prev() && other_id > id;
 }
 
-bool Inbox::head_eligible() const {
-  const auto head = peek();
-  if (!head) return false;
-  for (const auto& [id, w] : wires_) {
-    if (id == head->wire) continue;
-    if (!permits(w, id, head->vt, head->wire)) return false;
+bool Inbox::eligible(std::map<WireId, WireState>::const_iterator h) const {
+  const VirtualTime t = h->second.pending.front().vt;
+  for (auto it = wires_.begin(); it != wires_.end(); ++it) {
+    if (it == h) continue;
+    if (!permits(it->second, it->first, t, h->first)) return false;
   }
   return true;
 }
 
+bool Inbox::head_eligible() const {
+  const auto h = head();
+  return h != wires_.end() && eligible(h);
+}
+
 std::optional<Message> Inbox::pop() {
-  if (!head_eligible()) return std::nullopt;
-  const auto head = peek();
-  auto& w = wires_.at(head->wire);
-  Message m = std::move(w.pending.front());
-  w.pending.pop_front();
+  const auto h = head();
+  if (h == wires_.end() || !eligible(h)) return std::nullopt;
+  // erase(h, h) removes nothing; it is the standard const_iterator ->
+  // iterator conversion, sparing a second lookup.
+  auto& pending = wires_.erase(h, h)->second.pending;
+  Message m = std::move(pending.front());
+  pending.pop_front();
   return m;
 }
 
 std::vector<WireId> Inbox::lagging_wires() const {
   std::vector<WireId> out;
-  const auto head = peek();
-  if (!head) return out;
-  for (const auto& [id, w] : wires_) {
-    if (id == head->wire) continue;
-    if (!permits(w, id, head->vt, head->wire)) out.push_back(id);
+  const auto h = head();
+  if (h == wires_.end()) return out;
+  const VirtualTime t = h->second.pending.front().vt;
+  for (auto it = wires_.begin(); it != wires_.end(); ++it) {
+    if (it == h) continue;
+    if (!permits(it->second, it->first, t, h->first)) out.push_back(it->first);
   }
   return out;
 }

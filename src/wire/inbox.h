@@ -81,8 +81,10 @@ class Inbox {
   }
 
   /// Offers an arriving message. FIFO per wire; the message's vt implicitly
-  /// accounts all earlier ticks on that wire as silent.
+  /// accounts all earlier ticks on that wire as silent. The rvalue form
+  /// moves an accepted message in; a rejected one is left untouched.
   AcceptResult offer(const Message& m);
+  AcceptResult offer(Message&& m);
 
   /// Explicit silence announcement: `wire` has no data through `through`.
   /// Monotonic; stale announcements are ignored. When `expected_seq` is
@@ -97,11 +99,14 @@ class Inbox {
   /// message is pending at all (regardless of eligibility).
   [[nodiscard]] std::optional<Message> peek() const;
 
+  /// The head's virtual time, without copying the message.
+  [[nodiscard]] std::optional<VirtualTime> head_vt() const;
+
   /// True when the next head (per peek) is eligible for dequeue under the
   /// pessimistic rule.
   [[nodiscard]] bool head_eligible() const;
 
-  /// Pops the next message if eligible; nullopt otherwise.
+  /// Pops the next message if eligible, moving it out; nullopt otherwise.
   [[nodiscard]] std::optional<Message> pop();
 
   /// Wires whose silence horizon blocks the current head (targets for
@@ -156,6 +161,17 @@ class Inbox {
                                     VirtualTime t, WireId id);
 
   [[nodiscard]] const WireState* find(WireId wire) const;
+
+  /// The wire holding the head (smallest (vt, wire) key among pending
+  /// fronts); wires_.end() when nothing is pending. The one lookup behind
+  /// peek, head_vt, head_eligible, pop and lagging_wires.
+  [[nodiscard]] std::map<WireId, WireState>::const_iterator head() const;
+  /// Whether every other wire permits the head on `h` to run.
+  [[nodiscard]] bool eligible(
+      std::map<WireId, WireState>::const_iterator h) const;
+  /// Duplicate/gap classification shared by both offer overloads; on
+  /// kAccepted the wire's seq and horizon already cover `m`.
+  AcceptResult classify(WireState& w, const Message& m);
 
   /// Cold out-of-line record paths (see inbox.cc).
   void trace_discard(const Message& m) const;

@@ -541,6 +541,39 @@ TEST_F(GatewayTest, ParkedPollAnswersWhenAnOutputLands) {
   EXPECT_GE(gw_->counters().poll_wakeups, 1u);
 }
 
+// Each gateway on a runtime holds its own output listener: a second one
+// starting and shutting down must neither replace nor clear the first's.
+TEST_F(GatewayTest, SecondGatewayLeavesTheFirstsListenerInPlace) {
+  start();
+  std::thread poller([this] {
+    auto c = gateway::BlockingHttpClient::connect(addr_);
+    ASSERT_TRUE(c.has_value());
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto resp = c->get("/outputs/out?wait_ms=60000");
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, 10s);
+    EXPECT_EQ(resp.status, 200);
+    EXPECT_TRUE(fresh_output_with_origin(resp.body, "landed")) << resp.body;
+  });
+  const auto give_up = std::chrono::steady_clock::now() + 10s;
+  while (gw_->counters().requests == 0 &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(1ms);
+  std::this_thread::sleep_for(50ms);  // parsed; now parked on the loop
+  {
+    gateway::Gateway second(rt_.get(), {}, app_.built.inputs,
+                            app_.built.outputs);
+    second.shutdown();
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_EQ(rt_->try_inject_at(app_.in(), VirtualTime(1000), Payload("landed"))
+                .status,
+            core::InjectStatus::kOk);
+  rt_->close_input(app_.in());
+  poller.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 2s)
+      << "the first gateway's parked poll waited out its deadline";
+}
+
 // The first poll is answered by an output long before its 400 ms deadline;
 // the second, pipelined behind it, parks until its own 1500 ms deadline.
 // Had the first poll's timer survived, it would answer the second at 400 ms.

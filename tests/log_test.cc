@@ -65,6 +65,43 @@ TEST(MessageLogTest, LastVtTracksAppends) {
   EXPECT_EQ(log.last_vt(w), VirtualTime(900));
 }
 
+// Records reload in store order; a wire whose seqs were stored out of
+// order (interleaved writers) is put back in seq order, and records below
+// a restored base are index-tracked but not retained.
+TEST(MessageLogTest, LoadRecordsRestoresSeqOrderPerWire) {
+  const WireId a(0), b(1);
+  std::vector<std::vector<std::byte>> records;
+  for (const Message& m :
+       {external(a, 100, 0, "a0"), external(b, 150, 1, "b1"),
+        external(a, 200, 1, "a1"), external(b, 120, 0, "b0"),
+        external(a, 300, 2, "a2")}) {
+    serde::Writer w;
+    m.encode(w);
+    records.push_back(w.take());
+  }
+  ExternalMessageLog log;
+  log.set_base(a, 1, VirtualTime(100));  // a's seq 0 is covered
+  log.load_records(records, 0);
+
+  const auto on_a = log.replay_from_seq(a, 0);
+  ASSERT_EQ(on_a.size(), 2u);
+  EXPECT_EQ(on_a[0].payload.as_string(), "a1");
+  EXPECT_EQ(on_a[1].payload.as_string(), "a2");
+  const auto on_b = log.replay_from_seq(b, 0);
+  ASSERT_EQ(on_b.size(), 2u);
+  EXPECT_EQ(on_b[0].payload.as_string(), "b0");
+  EXPECT_EQ(on_b[1].payload.as_string(), "b1");
+  const auto tail = log.replay_from_seq(b, 1);
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_EQ(tail[0].seq, 1u);
+  EXPECT_TRUE(log.replay_from_seq(b, 2).empty());
+  EXPECT_EQ(log.next_seq(a), 3u);
+  EXPECT_EQ(log.next_seq(b), 2u);
+  EXPECT_EQ(log.total_size(), 4u);
+  // The covered a0 still occupies record index 0.
+  EXPECT_EQ(log.covered_record_index({{a, 1}}), 1u);
+}
+
 TEST(FaultLogTest, AppendAndQueryAfterVersion) {
   DeterminismFaultLog log;
   const ComponentId c(1);

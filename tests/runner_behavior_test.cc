@@ -1,16 +1,22 @@
 // Behavioral tests of the scheduler/runner machinery through the public
 // runtime API: nested two-way calls, mixed call/data virtual-time
 // scheduling, pessimism-delay accounting and curiosity probes, prescience
-// neutrality, multicast fan-out, and close-cascade draining under pure
-// lazy propagation.
+// neutrality, multicast fan-out, close-cascade draining under pure lazy
+// propagation, and burst staging (what a probe may see while a burst is in
+// hand, quiescence, batched hand-off).
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "apps/wordcount.h"
+#include "checkpoint/replica.h"
+#include "core/runner.h"
 #include "core/runtime.h"
 #include "estimator/estimator.h"
+#include "log/fault_log.h"
 
 namespace tart::core {
 namespace {
@@ -338,6 +344,208 @@ TEST(ComponentFailureTest, HandlerExceptionFailStopsOnlyThatComponent) {
          std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(1ms);
   EXPECT_EQ(rt.output_records(out_s).size(), 1u);
+  rt.stop();
+}
+
+// --- Burst staging ---------------------------------------------------------------
+
+/// A gate a handler parks on until the test opens it.
+struct Gate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false;
+  bool open = false;
+
+  void park() {
+    std::unique_lock<std::mutex> lk(mu);
+    entered = true;
+    cv.notify_all();
+    cv.wait(lk, [this] { return open; });
+  }
+  bool wait_entered(std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lk(mu);
+    return cv.wait_for(lk, timeout, [this] { return entered; });
+  }
+  void release() {
+    const std::lock_guard<std::mutex> lk(mu);
+    open = true;
+    cv.notify_all();
+  }
+};
+
+Gate* g_gate = nullptr;
+
+/// Sends its input on, then parks on g_gate before returning.
+class EmitThenPark : public Component {
+ public:
+  void on_message(Context& ctx, PortId, const Payload& payload) override {
+    ctx.count_block(0);
+    ctx.send(PortId(0), payload);
+    g_gate->park();
+  }
+  void capture_full(serde::Writer& w) const override { w.write_u8(0); }
+  void restore_full(serde::Reader& r) override { (void)r.read_u8(); }
+};
+
+/// Records what a runner routes toward receivers (any thread).
+class RecordingRouter final : public FrameRouter {
+ public:
+  void to_receiver(WireId, transport::Frame frame) override {
+    const std::lock_guard<std::mutex> lk(mu_);
+    if (auto* data = std::get_if<transport::DataFrame>(&frame))
+      data_.push_back(std::move(data->msg));
+    else if (const auto* s = std::get_if<transport::SilenceFrame>(&frame))
+      silences_.push_back(*s);
+  }
+  void to_receiver_batch(WireId, std::vector<Message>& batch) override {
+    const std::lock_guard<std::mutex> lk(mu_);
+    for (Message& m : batch) data_.push_back(std::move(m));
+  }
+  void to_sender(WireId, transport::Frame) override {}
+
+  std::vector<Message> data() const {
+    const std::lock_guard<std::mutex> lk(mu_);
+    return data_;
+  }
+  std::optional<transport::SilenceFrame> last_silence() const {
+    const std::lock_guard<std::mutex> lk(mu_);
+    if (silences_.empty()) return std::nullopt;
+    return silences_.back();
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<Message> data_;
+  std::vector<transport::SilenceFrame> silences_;
+};
+
+// While a handler's output is staged, a probe answered in the meantime may
+// claim neither its seq nor its tick: the receiver has not been handed the
+// frame. Once the burst is routed, both advance past it.
+TEST(BurstStagingTest, ProbeNeverCoversAStagedFrame) {
+  Gate gate;
+  g_gate = &gate;
+  Topology topo;
+  const auto c = topo.add("parker", [] {
+    return std::make_unique<EmitThenPark>();
+  });
+  const auto in = topo.external_input(c, PortId(0));
+  const auto out = topo.external_output(c, PortId(0));
+  const RuntimeConfig config;
+  RecordingRouter router;
+  log::DeterminismFaultLog fault_log;
+  checkpoint::ReplicaStore replica;
+  obs::Registry registry;
+  ComponentRunner runner(topo, c, config, router, fault_log, replica,
+                         registry, nullptr);
+  runner.start();
+
+  Message m;
+  m.wire = in;
+  m.vt = VirtualTime(1000);
+  m.seq = 0;
+  m.payload = Payload(std::int64_t{42});
+  runner.deliver_data(m);
+  ASSERT_TRUE(gate.wait_entered(5s));
+
+  // Parked inside the handler, after its send.
+  runner.handle_probe(out);
+  const auto during = router.last_silence();
+  ASSERT_TRUE(during.has_value());
+  EXPECT_EQ(during->expected_seq, 0u) << "a staged frame was counted";
+  EXPECT_TRUE(router.data().empty()) << "staged output left early";
+  EXPECT_TRUE(runner.status().busy);
+
+  gate.release();
+  const auto give_up = std::chrono::steady_clock::now() + 5s;
+  while (router.data().empty() && std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(1ms);
+  const auto sent = router.data();
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].payload.as_int(), 42);
+  EXPECT_LT(during->through, sent[0].vt)
+      << "the probe promised silence through a staged data tick";
+
+  runner.handle_probe(out);
+  const auto after = router.last_silence();
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->expected_seq, 1u);
+  EXPECT_GE(after->through, sent[0].vt);
+  runner.stop();
+  g_gate = nullptr;
+}
+
+struct ChainApp3 {
+  Topology topo;
+  ComponentId a, b, c;
+  WireId in, out;
+  ChainApp3() {
+    a = topo.add("a", [] { return std::make_unique<apps::Passthrough>(); });
+    b = topo.add("b", [] { return std::make_unique<apps::Passthrough>(); });
+    c = topo.add("c", [] { return std::make_unique<apps::Passthrough>(); });
+    in = topo.external_input(a, PortId(0));
+    topo.connect(a, PortId(0), b, PortId(0));
+    topo.connect(b, PortId(0), c, PortId(0));
+    out = topo.external_output(c, PortId(0));
+  }
+};
+
+std::vector<InjectRequest> scripted_batch(WireId in, int n) {
+  std::vector<InjectRequest> batch;
+  for (int i = 0; i < n; ++i)
+    batch.push_back({in, 1000 * (i + 1), Payload(std::int64_t{i})});
+  return batch;
+}
+
+// drain() must not return while a runner still holds a routed-but-unsent
+// burst. A slow output consumer stretches the last stage's final flush, so
+// a runner that reported itself idle before routing its burst would let
+// drain() return with outputs missing.
+TEST(BurstStagingTest, DrainSeesEveryStagedBurst) {
+  constexpr int kInputs = 300;
+  constexpr int kRepeats = 50;
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    ChainApp3 app;
+    Runtime rt(app.topo,
+               {{app.a, EngineId(0)}, {app.b, EngineId(1)},
+                {app.c, EngineId(2)}},
+               RuntimeConfig{});
+    rt.subscribe(app.out, [](VirtualTime, const Payload&, bool) {
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    });
+    rt.start();
+    for (const auto& r : rt.try_inject_batch(scripted_batch(app.in, kInputs)))
+      ASSERT_EQ(r.status, InjectStatus::kOk);
+    ASSERT_TRUE(rt.drain());
+    const auto records = rt.output_records(app.out);
+    ASSERT_EQ(records.size(), static_cast<std::size_t>(kInputs))
+        << "repeat " << rep << ": drain returned before a burst was routed";
+    EXPECT_EQ(records.back().payload.as_int(), kInputs - 1);
+    rt.stop();
+  }
+}
+
+// Inputs logged before start() reach the first stage as one replayed
+// batch, so its handlers run in bursts: fewer hand-offs than frames.
+TEST(BurstStagingTest, HandoffCountersReadBursts) {
+  constexpr int kInputs = 200;
+  ChainApp3 app;
+  Runtime rt(app.topo,
+             {{app.a, EngineId(0)}, {app.b, EngineId(0)},
+              {app.c, EngineId(1)}},
+             RuntimeConfig{});
+  for (const auto& r : rt.try_inject_batch(scripted_batch(app.in, kInputs)))
+    ASSERT_EQ(r.status, InjectStatus::kOk);
+  rt.start();
+  ASSERT_TRUE(rt.drain());
+  EXPECT_EQ(rt.output_records(app.out).size(),
+            static_cast<std::size_t>(kInputs));
+  const MetricsSnapshot a = rt.metrics(app.a);
+  EXPECT_EQ(a.handoff_frames, static_cast<std::uint64_t>(kInputs));
+  EXPECT_GT(a.handoff_batches, 0u);
+  EXPECT_GT(a.handoff_frames, a.handoff_batches);
+  const MetricsSnapshot total = rt.total_metrics();
+  EXPECT_EQ(total.handoff_frames, 3u * kInputs);  // a->b, b->c, c->out
   rt.stop();
 }
 

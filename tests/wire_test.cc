@@ -267,6 +267,73 @@ TEST_F(InboxMergeTest, RestorePositionResetsDedupeBoundary) {
   EXPECT_EQ(inbox.offer(msg(w1, 200, 1)), AcceptResult::kAccepted);
 }
 
+TEST_F(InboxMergeTest, HeadVtIsThePeekedHeadsVt) {
+  EXPECT_FALSE(inbox.head_vt().has_value());
+  inbox.offer(msg(w2, 200, 0));
+  // The head is reported whether or not it is eligible yet.
+  ASSERT_TRUE(inbox.head_vt().has_value());
+  EXPECT_EQ(*inbox.head_vt(), VirtualTime(200));
+  EXPECT_FALSE(inbox.head_eligible());
+  // An earlier arrival on another wire becomes the head.
+  inbox.offer(msg(w1, 150, 0));
+  EXPECT_EQ(*inbox.head_vt(), VirtualTime(150));
+  EXPECT_EQ(*inbox.head_vt(), inbox.peek()->vt);
+}
+
+TEST_F(InboxMergeTest, OfferMovesAnAcceptedMessageIn) {
+  Message first = msg(w1, 100, 0, Payload(std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(inbox.offer(std::move(first)), AcceptResult::kAccepted);
+  // A rejected rvalue is left with the caller, untouched.
+  Message dup = msg(w1, 100, 0, Payload("kept"));
+  EXPECT_EQ(inbox.offer(std::move(dup)), AcceptResult::kDuplicate);
+  EXPECT_EQ(dup.payload, Payload("kept"));  // NOLINT(bugprone-use-after-move)
+  Message gap = msg(w1, 300, 5, Payload("kept too"));
+  EXPECT_EQ(inbox.offer(std::move(gap)), AcceptResult::kGap);
+  EXPECT_EQ(gap.payload, Payload("kept too"));  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(inbox.pending_on(w1), 1u);
+  EXPECT_EQ(inbox.next_seq(w1), 1u);
+  EXPECT_EQ(inbox.wire_horizon(w1), VirtualTime(100));
+}
+
+TEST_F(InboxMergeTest, PopReturnsTheHeadWithItsPayloadIntact) {
+  const std::vector<std::string> words{"the", "cat", "sat"};
+  inbox.offer(msg(w2, 150, 0, Payload(words)));
+  inbox.offer(msg(w1, 250, 0, Payload(std::int64_t{7})));
+  inbox.announce_silence(w1, VirtualTime(150));
+  const auto m = inbox.pop();
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->wire, w2);
+  EXPECT_EQ(m->vt, VirtualTime(150));
+  EXPECT_EQ(m->seq, 0u);
+  EXPECT_EQ(m->payload.as_strings(), words);
+  EXPECT_EQ(inbox.pending(), 1u);
+  // The remaining head is untouched by the move of the first.
+  inbox.announce_silence(w2, VirtualTime::infinity());
+  const auto next = inbox.pop();
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->payload.as_int(), 7);
+  EXPECT_FALSE(inbox.head_vt().has_value());
+}
+
+TEST_F(InboxMergeTest, LaggingWiresFollowTheHeadAcrossWires) {
+  Inbox three;
+  const WireId a{1}, b{2}, c{3};
+  three.add_wire(a);
+  three.add_wire(b);
+  three.add_wire(c);
+  EXPECT_TRUE(three.lagging_wires().empty());  // no head, no blockers
+  three.offer(msg(c, 400, 0));
+  EXPECT_EQ(three.lagging_wires(), (std::vector<WireId>{a, b}));
+  // An earlier head on b takes over: c's pending head now permits it.
+  three.offer(msg(b, 300, 0));
+  EXPECT_EQ(three.lagging_wires(), std::vector<WireId>{a});
+  // Horizon 299 on the lower-id wire a loses the vt == 300 tie-break.
+  three.announce_silence(a, VirtualTime(299));
+  EXPECT_EQ(three.lagging_wires(), std::vector<WireId>{a});
+  three.announce_silence(a, VirtualTime(300));
+  EXPECT_TRUE(three.lagging_wires().empty());
+  EXPECT_TRUE(three.head_eligible());
+}
 
 // --- Hyper-aggressive bias: receiver-side data-grid inference ----------------
 
