@@ -5,6 +5,8 @@
 // must stay far below transaction-commit costs.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "checkpoint/checkpointed_map.h"
 #include "checkpoint/snapshot.h"
 #include "common/rng.h"
@@ -86,6 +88,41 @@ void BM_CheckpointedMapPut(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CheckpointedMapPut);
+
+// WordCountSender's handler state: one update per word of an 8-word
+// sentence, words drawn Zipf(1) from a 10k-word vocabulary.
+void BM_CheckpointedMapWordCount(benchmark::State& state) {
+  constexpr int kVocabulary = 10000;
+  constexpr int kWords = 8;
+  std::vector<std::string> vocabulary;
+  std::vector<double> cdf;
+  double total = 0;
+  for (int i = 0; i < kVocabulary; ++i) {
+    vocabulary.push_back("word" + std::to_string(i));
+    total += 1.0 / (i + 1);
+    cdf.push_back(total);
+  }
+  Rng rng(3);
+  std::vector<std::vector<const std::string*>> sentences(4096);
+  for (auto& sentence : sentences)
+    for (int w = 0; w < kWords; ++w) {
+      const auto it =
+          std::lower_bound(cdf.begin(), cdf.end(), rng.uniform() * total);
+      sentence.push_back(&vocabulary[std::min<std::size_t>(
+          static_cast<std::size_t>(it - cdf.begin()), kVocabulary - 1)]);
+    }
+  checkpoint::CheckpointedMap<std::string, std::int64_t> map;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    std::int64_t count = 0;
+    for (const std::string* word : sentences[next])
+      map.update(*word, [&](std::int64_t& seen) { count += seen++; });
+    benchmark::DoNotOptimize(count);
+    next = (next + 1) % sentences.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CheckpointedMapWordCount);
 
 void BM_DeltaCapture(benchmark::State& state) {
   const auto dirty = static_cast<int>(state.range(0));

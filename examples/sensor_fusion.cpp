@@ -86,7 +86,7 @@ class FusionComponent : public core::Component {
     ctx.count_block(0);
     last_.put(reading[0], reading[1]);
     std::int64_t sum = 0;
-    for (const auto& [id, v] : last_.entries()) {
+    for (const auto& [id, v] : last_.sorted()) {
       ctx.count_block(1);
       sum += v;
     }

@@ -234,15 +234,15 @@ void TopK::on_message(core::Context& ctx, PortId /*port*/,
 
   if (best_.contains(value)) return;  // identical value: no change
   if (best_.size() >= static_cast<std::size_t>(k_)) {
-    const std::int64_t smallest = best_.entries().begin()->first;
+    const std::int64_t smallest = best_.sorted().front().first;
     if (value <= smallest) return;  // does not make the cut
     best_.erase(smallest);
   }
   best_.put(value, key);
 
   std::vector<std::int64_t> flat;
-  for (auto it = best_.entries().rbegin(); it != best_.entries().rend();
-       ++it) {
+  const auto ranked = best_.sorted();
+  for (auto it = ranked.rbegin(); it != ranked.rend(); ++it) {
     ctx.count_block(1);
     flat.push_back(it->second);  // key
     flat.push_back(it->first);   // value

@@ -125,6 +125,8 @@ namespace tart::core {
     "Log records the restart checkpoint covered (not replayed)", MAX, 1.0)    \
   X(restart_suffix_records, "tart_restart_suffix_records",                    \
     "Log records replayed from the suffix at restart", MAX, 1.0)              \
+  X(restart_log_bytes_read, "tart_restart_log_bytes_read",                    \
+    "Bytes a cold restart read from external-log segments", MAX, 1.0)         \
   X(net_msgs_in, "tart_net_msgs_in_total",                                    \
     "Non-frame peer messages received (placement/stream/cover)", SUM, 1.0)    \
   X(net_msgs_out, "tart_net_msgs_out_total",                                  \

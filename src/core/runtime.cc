@@ -109,12 +109,20 @@ Runtime::Runtime(Topology topology, std::map<ComponentId, EngineId> placement,
     }
     log::SegmentedStore::Options seg_opts;
     seg_opts.segment_bytes = d.segment_bytes;
+    // Opening the store is the one read of the log: its scan hands each
+    // record over for decoding as it checksums it.
+    std::vector<Message> loaded;
     segment_store_ = std::make_unique<log::SegmentedStore>(
-        config_.log_dir, "messages", seg_opts);
-    message_log_.load_records(segment_store_->scan_all(),
-                              segment_store_->first_retained_index());
+        config_.log_dir, "messages", seg_opts,
+        [&loaded](std::span<const std::byte> record) {
+          serde::Reader r(record.data(), record.size());
+          loaded.push_back(Message::decode(r));
+        });
+    message_log_.load_messages(std::move(loaded),
+                               segment_store_->first_retained_index());
     message_log_.attach_store(segment_store_.get());
     recovery_.suffix_records = message_log_.total_size();
+    recovery_.log_bytes_read = segment_store_->bytes_read();
 
     const std::string faults_path = config_.log_dir + "/faults.log";
     fault_log_.load_from(faults_path);
@@ -823,6 +831,7 @@ MetricsSnapshot Runtime::total_metrics() const {
   total.ckpt_skipped_invalid = recovery_.skipped_invalid;
   total.restart_covered_records = recovery_.covered_records;
   total.restart_suffix_records = recovery_.suffix_records;
+  total.restart_log_bytes_read = recovery_.log_bytes_read;
   return total;
 }
 

@@ -108,6 +108,7 @@ struct RecoveryInfo {
   std::uint64_t skipped_invalid = 0;  ///< torn/corrupt checkpoint files
   std::uint64_t covered_records = 0;  ///< log records the checkpoint covers
   std::uint64_t suffix_records = 0;   ///< log records left to replay
+  std::uint64_t log_bytes_read = 0;   ///< bytes read from log segments
 };
 
 class Runtime final : public FrameRouter {

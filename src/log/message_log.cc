@@ -54,24 +54,19 @@ void ExternalMessageLog::attach_store(StableSink* store) {
 }
 
 void ExternalMessageLog::load_from(const std::string& path) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& record : FileStableStore::scan(path)) {
-    serde::Reader r(record);
-    Message m = Message::decode(r);
-    order_.emplace_back(m.wire, m.seq);
-    entries_[m.wire].push_back(std::move(m));
-  }
-  sort_loaded();
+  std::vector<Message> messages;
+  FileStableStore::visit(path, [&messages](std::span<const std::byte> record) {
+    serde::Reader r(record.data(), record.size());
+    messages.push_back(Message::decode(r));
+  });
+  load_messages(std::move(messages), 0);
 }
 
-void ExternalMessageLog::load_records(
-    const std::vector<std::vector<std::byte>>& records,
-    std::uint64_t first_index) {
+void ExternalMessageLog::load_messages(std::vector<Message> messages,
+                                       std::uint64_t first_index) {
   const std::lock_guard<std::mutex> lock(mutex_);
   order_base_ = first_index;
-  for (const auto& record : records) {
-    serde::Reader r(record);
-    Message m = Message::decode(r);
+  for (Message& m : messages) {
     // The order index must mirror the store record-for-record — including
     // covered records whose segment has not been reclaimed yet — or a
     // later covered_record_index would point at the wrong segment.
@@ -81,10 +76,6 @@ void ExternalMessageLog::load_records(
       continue;  // covered by the restored checkpoint
     entries_[m.wire].push_back(std::move(m));
   }
-  sort_loaded();
-}
-
-void ExternalMessageLog::sort_loaded() {
   // Batched appends from one writer may interleave with single appends
   // from another across wires; per wire the seq order is authoritative.
   // A wire is nearly always stored in order, so check before sorting.

@@ -80,7 +80,7 @@ class ExternalMessageLog {
 
   /// Restores a wire's position accounting from a durable checkpoint:
   /// messages with seq < next_seq are covered (loads skip them) and the
-  /// wire's silence floor is `last_vt`. Call before load_records.
+  /// wire's silence floor is `last_vt`. Call before load_messages.
   void set_base(WireId wire, std::uint64_t next_seq, VirtualTime last_vt);
 
   /// Largest global record index N such that every record with index < N
@@ -102,23 +102,21 @@ class ExternalMessageLog {
   /// into `store` before the call returns (stable-storage durability).
   void attach_store(StableSink* store);
 
-  /// Reloads a log persisted by attach_store. Call on an empty log before
-  /// re-attaching a store. Decoded messages are moved into the log; a wire
-  /// is sorted by seq only when its records were stored out of order.
+  /// Reloads a log persisted by attach_store to a FileStableStore at
+  /// `path`. Call on an empty log before re-attaching a store.
   void load_from(const std::string& path);
 
-  /// Reloads from pre-scanned store records whose first record has global
-  /// index `first_index` (SegmentedStore::scan_all after compaction).
-  /// Records below a wire's base (covered by the restored checkpoint but
-  /// not yet reclaimed from disk) are index-tracked but not retained.
-  void load_records(const std::vector<std::vector<std::byte>>& records,
-                    std::uint64_t first_index);
+  /// Reloads messages decoded from store records in store order, the
+  /// first of which has global index `first_index` (the records a
+  /// SegmentedStore's open-time scan hands over, after compaction). Records
+  /// below a wire's base (covered by the restored checkpoint but not yet
+  /// reclaimed from disk) are index-tracked but not retained. The messages
+  /// are moved into the log; a wire is sorted by seq only when its records
+  /// were stored out of order.
+  void load_messages(std::vector<Message> messages, std::uint64_t first_index);
 
  private:
   void append_locked(const Message& message);
-  /// After a load (mutex_ held): sorts by seq each wire whose records
-  /// were stored out of order.
-  void sort_loaded();
 
   mutable std::mutex mutex_;
   std::map<WireId, std::vector<Message>> entries_;

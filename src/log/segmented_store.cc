@@ -29,7 +29,8 @@ SegmentedStore::SegmentedStore(std::string dir, std::string base)
     : SegmentedStore(std::move(dir), std::move(base), Options()) {}
 
 SegmentedStore::SegmentedStore(std::string dir, std::string base,
-                               Options options)
+                               Options options,
+                               const RecordVisitor& on_record)
     : dir_(std::move(dir)), base_(std::move(base)), options_(options) {
   namespace fs = std::filesystem;
   std::error_code ec;
@@ -71,13 +72,16 @@ SegmentedStore::SegmentedStore(std::string dir, std::string base,
   std::sort(firsts.begin(), firsts.end());
 
   const std::lock_guard<std::mutex> lk(mu_);
+  const RecordVisitor skip = [](std::span<const std::byte>) {};
   for (const std::uint64_t first : firsts) {
     Segment seg;
     seg.first_index = first;
     seg.path = segment_path(first);
-    std::uint64_t intact = 0;
-    seg.records = FileStableStore::scan(seg.path, &intact).size();
-    seg.bytes = intact;
+    const auto scanned =
+        FileStableStore::visit(seg.path, on_record ? on_record : skip);
+    seg.records = scanned.records;
+    seg.bytes = scanned.intact_bytes;
+    bytes_read_ += scanned.bytes_read;
     sealed_.push_back(seg);
   }
 
@@ -164,11 +168,14 @@ std::vector<std::vector<std::byte>> SegmentedStore::scan_all() const {
     paths.push_back(active_meta_.path);
   }
   std::vector<std::vector<std::byte>> out;
+  std::uint64_t bytes = 0;
   for (const std::string& path : paths) {
-    auto records = FileStableStore::scan(path);
-    out.insert(out.end(), std::make_move_iterator(records.begin()),
-               std::make_move_iterator(records.end()));
+    bytes += FileStableStore::visit(path, [&out](std::span<const std::byte> r) {
+               out.emplace_back(r.begin(), r.end());
+             }).bytes_read;
   }
+  const std::lock_guard<std::mutex> lk(mu_);
+  bytes_read_ += bytes;
   return out;
 }
 
@@ -221,6 +228,11 @@ std::uint64_t SegmentedStore::segments_deleted() const {
 std::uint64_t SegmentedStore::records_reclaimed() const {
   const std::lock_guard<std::mutex> lk(mu_);
   return records_reclaimed_;
+}
+
+std::uint64_t SegmentedStore::bytes_read() const {
+  const std::lock_guard<std::mutex> lk(mu_);
+  return bytes_read_;
 }
 
 }  // namespace tart::log

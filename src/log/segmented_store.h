@@ -41,8 +41,13 @@ class SegmentedStore final : public StableSink {
   /// Opens (creating if needed) the segment set `<dir>/<base>.*.seg`. The
   /// highest-index segment becomes the active one; if its tail is torn
   /// (crash mid-write) the file is truncated back to the intact prefix so
-  /// later appends stay scannable.
-  SegmentedStore(std::string dir, std::string base, Options options);
+  /// later appends stay scannable. Opening reads and checksums every
+  /// segment once; `on_record`, when set, receives each intact record of
+  /// that scan in global append order (the first has index
+  /// first_retained_index()), so a caller that needs the log's contents
+  /// does not read it a second time with scan_all().
+  SegmentedStore(std::string dir, std::string base, Options options,
+                 const RecordVisitor& on_record = nullptr);
   SegmentedStore(std::string dir, std::string base);
 
   bool append(const std::vector<std::byte>& record) override;
@@ -66,6 +71,9 @@ class SegmentedStore final : public StableSink {
   [[nodiscard]] std::uint64_t bytes_on_disk() const;
   [[nodiscard]] std::uint64_t segments_deleted() const;
   [[nodiscard]] std::uint64_t records_reclaimed() const;
+  /// Bytes read from segment files so far, by the open-time scan and by
+  /// every scan_all().
+  [[nodiscard]] std::uint64_t bytes_read() const;
 
  private:
   struct Segment {
@@ -93,6 +101,7 @@ class SegmentedStore final : public StableSink {
   std::uint64_t flushes_ = 0;
   std::uint64_t segments_deleted_ = 0;
   std::uint64_t records_reclaimed_ = 0;
+  mutable std::uint64_t bytes_read_ = 0;
 };
 
 }  // namespace tart::log

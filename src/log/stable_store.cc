@@ -1,10 +1,11 @@
 #include "log/stable_store.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <fstream>
+#include <memory>
 
 #include "serde/archive.h"
 
@@ -12,6 +13,7 @@ namespace tart::log {
 
 namespace {
 constexpr std::uint32_t kMagic = 0x54A27106;  // frame marker
+constexpr std::size_t kFrameHeaderBytes = 16;  // magic + size + checksum
 
 void frame_record(serde::Writer& out, const std::vector<std::byte>& record) {
   out.write_u32(kMagic);
@@ -72,29 +74,53 @@ bool FileStableStore::append_batch(
 std::vector<std::vector<std::byte>> FileStableStore::scan(
     const std::string& path, std::uint64_t* intact_bytes) {
   std::vector<std::vector<std::byte>> records;
-  std::uint64_t intact = 0;
-  std::ifstream in(path, std::ios::binary);
-  if (intact_bytes != nullptr) *intact_bytes = 0;
-  if (!in.is_open()) return records;
-
-  for (;;) {
-    std::byte header[16];
-    in.read(reinterpret_cast<char*>(header), sizeof(header));
-    if (in.gcount() != sizeof(header)) break;  // clean EOF or torn header
-    serde::Reader r(header, sizeof(header));
-    if (r.read_u32() != kMagic) break;  // corrupted frame marker
-    const std::uint32_t size = r.read_u32();
-    const std::uint64_t checksum = r.read_u64();
-
-    std::vector<std::byte> record(size);
-    in.read(reinterpret_cast<char*>(record.data()), size);
-    if (in.gcount() != static_cast<std::streamsize>(size)) break;  // torn
-    if (serde::fingerprint(record) != checksum) break;  // corrupted
-    records.push_back(std::move(record));
-    intact += sizeof(header) + size;
-  }
-  if (intact_bytes != nullptr) *intact_bytes = intact;
+  const ScanResult result =
+      visit(path, [&records](std::span<const std::byte> record) {
+        records.emplace_back(record.begin(), record.end());
+      });
+  if (intact_bytes != nullptr) *intact_bytes = result.intact_bytes;
   return records;
+}
+
+FileStableStore::ScanResult FileStableStore::visit(
+    const std::string& path, const RecordVisitor& on_record) {
+  ScanResult result;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return result;
+  struct stat st{};
+  if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
+    ::close(fd);
+    return result;
+  }
+  // Left uninitialised: the walk below reads only bytes read() filled.
+  const auto capacity = static_cast<std::size_t>(st.st_size);
+  const auto buf = std::make_unique_for_overwrite<std::byte[]>(capacity);
+  std::size_t size = 0;
+  while (size < capacity) {
+    const ssize_t n = ::read(fd, buf.get() + size, capacity - size);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;  // EOF (a file shrunk since fstat) or a read error
+    size += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  result.bytes_read = size;
+
+  std::size_t off = 0;
+  while (size - off >= kFrameHeaderBytes) {
+    serde::Reader header(buf.get() + off, kFrameHeaderBytes);
+    if (header.read_u32() != kMagic) break;  // corrupted frame marker
+    const std::uint32_t length = header.read_u32();
+    const std::uint64_t checksum = header.read_u64();
+    const std::size_t body = off + kFrameHeaderBytes;
+    if (length > size - body) break;  // torn, or a corrupt size field
+    const std::span<const std::byte> record(buf.get() + body, length);
+    if (serde::fingerprint(record) != checksum) break;  // corrupted
+    on_record(record);
+    ++result.records;
+    off = body + length;
+  }
+  result.intact_bytes = off;
+  return result;
 }
 
 }  // namespace tart::log

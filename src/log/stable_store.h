@@ -22,11 +22,16 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
 
 namespace tart::log {
+
+/// Receives one intact record of a scan as a view into the scan's buffer;
+/// the view is valid only during the call.
+using RecordVisitor = std::function<void(std::span<const std::byte>)>;
 
 /// Anything a log can write through to for durability. FileStableStore is
 /// the single-file implementation; SegmentedStore (segmented_store.h)
@@ -81,6 +86,20 @@ class FileStableStore final : public StableSink {
   /// before appending past it.
   [[nodiscard]] static std::vector<std::vector<std::byte>> scan(
       const std::string& path, std::uint64_t* intact_bytes = nullptr);
+
+  struct ScanResult {
+    std::uint64_t records = 0;       ///< intact records visited
+    std::uint64_t intact_bytes = 0;  ///< length of the intact prefix
+    std::uint64_t bytes_read = 0;    ///< bytes read from the file
+  };
+
+  /// The scan under scan(): reads the whole file with one read into a
+  /// buffer, checksums each frame in place and hands every intact record to
+  /// `on_record` as a view into that buffer, valid only during the call.
+  /// A frame whose size runs past the end of the file ends the scan like a
+  /// torn one; nothing is allocated from a size read off the disk.
+  static ScanResult visit(const std::string& path,
+                          const RecordVisitor& on_record);
 
  private:
   std::string path_;

@@ -43,7 +43,7 @@ TEST(CheckpointedMapTest, FullCaptureRoundTrip) {
   m.capture_full(w);
   serde::Reader r(w.bytes());
   restored.restore_full(r);
-  EXPECT_EQ(restored.entries(), m.entries());
+  EXPECT_EQ(restored.sorted(), m.sorted());
 }
 
 TEST(CheckpointedMapTest, DeltaTracksOnlyChanges) {
@@ -139,6 +139,142 @@ TEST(CheckpointedMapTest, DeterministicByteIdenticalCaptures) {
 
 TEST(CheckpointedMapTest, SupportsDelta) {
   EXPECT_TRUE(WordCounts().supports_delta());
+}
+
+std::vector<std::byte> hex_bytes(const std::string& hex) {
+  std::vector<std::byte> out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 3)
+    out.push_back(
+        static_cast<std::byte>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  return out;
+}
+
+// The bytes an ordered std::map encoding produced before the map became a
+// hash table: durable checkpoint files written then must still restore.
+TEST(CheckpointedMapTest, GoldenBytesMatchTheOrderedEncoding) {
+  WordCounts m;
+  m.put("pear", 3);
+  m.put("apple", 1);
+  m.put("fig", -2);
+  EXPECT_EQ(capture_full_bytes(m),
+            hex_bytes("03 05 61 70 70 6c 65 02 03 66 69 67 03 04 70 65 61 72 "
+                      "06"));
+  serde::Writer base;
+  m.capture_delta(base);
+  EXPECT_EQ(base.bytes(),
+            hex_bytes("03 05 61 70 70 6c 65 01 02 03 66 69 67 01 03 04 70 65 "
+                      "61 72 01 06"));
+
+  // An update, an erase, an erase of a key never present, and an erase
+  // followed by a re-insert: each key appears once, in key order.
+  m.update("apple", [](std::int64_t& v) { v += 10; });
+  m.erase("fig");
+  m.erase("kiwi");
+  m.erase("pear");
+  m.put("pear", 7);
+  m.put("banana", 5);
+  serde::Writer delta;
+  m.capture_delta(delta);
+  EXPECT_EQ(delta.bytes(),
+            hex_bytes("05 05 61 70 70 6c 65 01 16 06 62 61 6e 61 6e 61 01 0a "
+                      "03 66 69 67 00 04 6b 69 77 69 00 04 70 65 61 72 01 0e"));
+  EXPECT_EQ(capture_full_bytes(m),
+            hex_bytes("03 05 61 70 70 6c 65 16 06 62 61 6e 61 6e 61 0a 04 70 "
+                      "65 61 72 0e"));
+
+  CheckpointedMap<std::int64_t, std::int64_t> ints;
+  ints.put(300, 1);
+  ints.put(-5, 2);
+  ints.put(70, 3);
+  serde::Writer discard;
+  ints.capture_delta(discard);
+  ints.erase(70);
+  ints.put(-5, 9);
+  ints.erase(12);
+  serde::Writer int_delta;
+  ints.capture_delta(int_delta);
+  EXPECT_EQ(int_delta.bytes(), hex_bytes("03 09 01 12 18 00 8c 01 00"));
+  EXPECT_EQ(capture_full_bytes(ints), hex_bytes("02 09 12 d8 04 02"));
+}
+
+TEST(CheckpointedMapTest, InsertionOrderShowsInNeitherCapturesNorIteration) {
+  std::vector<std::string> keys;
+  for (int i = 0; i < 300; ++i)
+    keys.push_back("w" + std::to_string(i * 7919 % 1000));
+  std::vector<std::string> reversed(keys.rbegin(), keys.rend());
+  WordCounts a, b;
+  for (const auto& k : keys) a.update(k, [](std::int64_t& v) { ++v; });
+  for (const auto& k : reversed) b.update(k, [](std::int64_t& v) { ++v; });
+  for (int i = 0; i < 300; i += 3) {
+    a.erase(keys[i]);
+    b.erase(keys[297 - i]);  // the same keys, in the other order
+  }
+  EXPECT_EQ(a.sorted(), b.sorted());
+  EXPECT_EQ(capture_full_bytes(a), capture_full_bytes(b));
+  serde::Writer da, db;
+  a.capture_delta(da);
+  b.capture_delta(db);
+  EXPECT_EQ(da.bytes(), db.bytes());
+
+  const auto items = a.sorted();
+  for (std::size_t i = 1; i < items.size(); ++i)
+    EXPECT_LT(items[i - 1].first, items[i].first);
+}
+
+TEST(CheckpointedMapTest, RestoreThenCaptureReturnsTheSameBytes) {
+  Rng rng(11);
+  WordCounts live;
+  for (int i = 0; i < 500; ++i)
+    live.put("k" + std::to_string(rng.uniform_int(0, 2000)),
+             rng.uniform_int(-1000, 1000));
+  const auto full = capture_full_bytes(live);
+  WordCounts restored;
+  serde::Reader r(full);
+  restored.restore_full(r);
+  EXPECT_EQ(capture_full_bytes(restored), full);
+  EXPECT_EQ(restored.dirty_count(), 0u);
+  serde::Writer empty_delta;
+  restored.capture_delta(empty_delta);
+  EXPECT_EQ(empty_delta.bytes(), hex_bytes("00"));
+}
+
+TEST(CheckpointedMapTest, CopyIsIndependentOfItsSource) {
+  WordCounts source;
+  source.put("a", 1);
+  source.put("b", 2);
+  WordCounts copy = source;
+  copy.put("a", 10);
+  copy.erase("b");
+  copy.put("c", 3);
+  EXPECT_EQ(*source.find("a"), 1);
+  EXPECT_EQ(*source.find("b"), 2);
+  EXPECT_FALSE(source.contains("c"));
+  EXPECT_EQ(source.dirty_count(), 2u);
+  EXPECT_EQ(copy.dirty_count(), 3u);
+
+  serde::Writer source_delta;
+  source.capture_delta(source_delta);
+  EXPECT_EQ(copy.dirty_count(), 3u);
+  serde::Writer copy_delta;
+  copy.capture_delta(copy_delta);
+  WordCounts replica;
+  serde::Reader r(source_delta.bytes());
+  replica.apply_delta(r);
+  EXPECT_EQ(capture_full_bytes(replica), capture_full_bytes(source));
+}
+
+TEST(CheckpointedMapTest, RepeatedEraseAndReinsertStaysOneDeltaEntry) {
+  WordCounts m;
+  for (int i = 0; i < 10000; ++i) {
+    m.put("k", i);
+    m.erase("k");
+  }
+  m.put("k", 42);
+  EXPECT_EQ(m.dirty_count(), 1u);
+  serde::Writer delta;
+  m.capture_delta(delta);
+  serde::Reader r(delta.bytes());
+  EXPECT_EQ(r.read_varint(), 1u);
 }
 
 // --- CheckpointedValue ----------------------------------------------------------

@@ -116,6 +116,63 @@ TEST_F(SegmentedStoreTest, TornActiveTailCutOnReopen) {
   EXPECT_EQ(store.scan_all().size(), 3u);
 }
 
+TEST_F(SegmentedStoreTest, OversizedTailFrameCutOnReopen) {
+  std::filesystem::path active;
+  {
+    log::SegmentedStore store(dir_.string(), "messages");
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(store.append(bytes({7, i})));
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(dir_))
+    if (entry.path().extension() == ".seg") active = entry.path();
+  ASSERT_FALSE(active.empty());
+  const auto good = std::filesystem::file_size(active);
+  {
+    // A torn header with an intact magic and a garbage size.
+    std::ofstream f(active, std::ios::binary | std::ios::app);
+    const unsigned char frame[] = {0x06, 0x71, 0xA2, 0x54, 0xF0, 0xFF,
+                                   0xFF, 0xFF, 0,    0,    0,    0,
+                                   0,    0,    0,    0,    1};
+    f.write(reinterpret_cast<const char*>(frame), sizeof(frame));
+  }
+  log::SegmentedStore store(dir_.string(), "messages");
+  EXPECT_EQ(store.next_index(), 3u);
+  EXPECT_EQ(std::filesystem::file_size(active), good);
+  ASSERT_TRUE(store.append(bytes({9})));
+  EXPECT_EQ(store.scan_all().size(), 4u);
+}
+
+// Opening reads each segment once and hands its records over in global
+// order; scan_all() is a real rescan of the files.
+TEST_F(SegmentedStoreTest, OpenHandsOverEachRecordFromOneRead) {
+  log::SegmentedStore::Options opts;
+  opts.segment_bytes = 64;
+  std::vector<std::vector<std::byte>> written;
+  {
+    log::SegmentedStore store(dir_.string(), "messages", opts);
+    for (int i = 0; i < 10; ++i) {
+      written.push_back(bytes({i, i + 1, i + 2}));
+      ASSERT_TRUE(store.append(written.back()));
+    }
+    ASSERT_GT(store.truncate_below(5), 0u);
+  }
+  std::uint64_t on_disk = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_))
+    if (entry.path().extension() == ".seg") on_disk += entry.file_size();
+
+  std::vector<std::vector<std::byte>> handed;
+  log::SegmentedStore store(dir_.string(), "messages", opts,
+                            [&handed](std::span<const std::byte> r) {
+                              handed.emplace_back(r.begin(), r.end());
+                            });
+  const auto first = static_cast<std::ptrdiff_t>(store.first_retained_index());
+  ASSERT_GT(first, 0);
+  EXPECT_EQ(handed, std::vector<std::vector<std::byte>>(written.begin() + first,
+                                                        written.end()));
+  EXPECT_EQ(store.bytes_read(), on_disk);
+  EXPECT_EQ(store.scan_all(), handed);
+  EXPECT_EQ(store.bytes_read(), 2 * on_disk);
+}
+
 TEST_F(SegmentedStoreTest, AdoptsLegacySingleFileLog) {
   const std::string legacy = (dir_ / "messages.log").string();
   {
@@ -481,6 +538,37 @@ TEST_F(TieredRestartTest, NoCheckpointMeansColdReplayStillWorks) {
   EXPECT_TRUE(durability::ReplayDriver::catch_up(rt).caught_up);
   ASSERT_TRUE(rt.drain());
   EXPECT_EQ(rt.state_fingerprint(app.merger), fingerprint);
+  rt.stop();
+}
+
+// A cold restart reads the log once: the bytes it read from segments are
+// the bytes the segments hold.
+TEST_F(TieredRestartTest, ColdRestartReadsEachSegmentOnce) {
+  const std::string log_dir = dir_.string();
+  {
+    DurableApp app;
+    core::Runtime rt(app.topo, app.placement(), durable_config(log_dir));
+    rt.start();
+    for (int i = 0; i < 8; ++i) inject_pair(rt, app, i);
+    ASSERT_TRUE(rt.drain());
+    rt.stop();
+  }
+  std::uint64_t on_disk = 0;
+  int segments = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(log_dir))
+    if (entry.path().extension() == ".seg") {
+      on_disk += entry.file_size();
+      ++segments;
+    }
+  ASSERT_GT(segments, 1);
+
+  DurableApp app;
+  core::Runtime rt(app.topo, app.placement(), durable_config(log_dir));
+  EXPECT_EQ(rt.recovery_info().suffix_records, 16u);
+  EXPECT_EQ(rt.recovery_info().log_bytes_read, on_disk);
+  EXPECT_EQ(rt.total_metrics().restart_log_bytes_read, on_disk);
+  rt.start();
+  EXPECT_TRUE(durability::ReplayDriver::catch_up(rt).caught_up);
   rt.stop();
 }
 

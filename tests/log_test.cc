@@ -70,18 +70,12 @@ TEST(MessageLogTest, LastVtTracksAppends) {
 // a restored base are index-tracked but not retained.
 TEST(MessageLogTest, LoadRecordsRestoresSeqOrderPerWire) {
   const WireId a(0), b(1);
-  std::vector<std::vector<std::byte>> records;
-  for (const Message& m :
-       {external(a, 100, 0, "a0"), external(b, 150, 1, "b1"),
-        external(a, 200, 1, "a1"), external(b, 120, 0, "b0"),
-        external(a, 300, 2, "a2")}) {
-    serde::Writer w;
-    m.encode(w);
-    records.push_back(w.take());
-  }
   ExternalMessageLog log;
   log.set_base(a, 1, VirtualTime(100));  // a's seq 0 is covered
-  log.load_records(records, 0);
+  log.load_messages({external(a, 100, 0, "a0"), external(b, 150, 1, "b1"),
+                     external(a, 200, 1, "a1"), external(b, 120, 0, "b0"),
+                     external(a, 300, 2, "a2")},
+                    0);
 
   const auto on_a = log.replay_from_seq(a, 0);
   ASSERT_EQ(on_a.size(), 2u);

@@ -199,6 +199,37 @@ TEST_F(StableStoreTest, CorruptedChecksumStopsScan) {
   EXPECT_EQ(FileStableStore::scan(p).size(), 1u);
 }
 
+// A torn header whose magic survived but whose size field is garbage:
+// the scan must not trust (or allocate) that size, and stops there.
+TEST_F(StableStoreTest, OversizedFrameSizeEndsScanWithoutAllocating) {
+  const std::string p = path("log");
+  {
+    FileStableStore store(p);
+    store.append(bytes({1, 1, 1}));
+    store.append(bytes({2, 2}));
+  }
+  const auto good = std::filesystem::file_size(p);
+  {
+    std::ofstream f(p, std::ios::binary | std::ios::app);
+    const unsigned char frame[] = {0x06, 0x71, 0xA2, 0x54,   // magic
+                                   0xF0, 0xFF, 0xFF, 0xFF,   // 0xFFFFFFF0
+                                   1, 2, 3, 4, 5, 6, 7, 8,  // checksum
+                                   9, 9, 9};
+    f.write(reinterpret_cast<const char*>(frame), sizeof(frame));
+  }
+  std::uint64_t intact = 0;
+  const auto records = FileStableStore::scan(p, &intact);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[1], bytes({2, 2}));
+  EXPECT_EQ(intact, good);
+
+  const auto visited =
+      FileStableStore::visit(p, [](std::span<const std::byte>) {});
+  EXPECT_EQ(visited.records, 2u);
+  EXPECT_EQ(visited.intact_bytes, good);
+  EXPECT_EQ(visited.bytes_read, good + 19);
+}
+
 TEST_F(StableStoreTest, MessageLogWriteThroughAndRecover) {
   const std::string p = path("messages");
   Message m;
