@@ -3,6 +3,9 @@
 // use? Reports frames/sec (streaming) and p50/p99 round-trip latency
 // (ping-pong) for both transports at several payload sizes, so the
 // distributed figures can be read against the transport's own floor.
+// A condvar ping-pong between two bare threads is recorded first as the
+// host's calibration row (calib_*): the in-process link rows are thread
+// wake-ups, and scripts/bench_gate.py gates them as ratios to it.
 //
 //   bench_net [--smoke] [--json[=FILE]]
 //   (--smoke: 10x fewer frames, CI sanity; --json: machine-readable results)
@@ -147,6 +150,44 @@ Result bench_tcp(std::size_t payload_bytes) {
   return r;
 }
 
+// --- Host calibration --------------------------------------------------------
+
+/// Round trip of one condvar hand-off to another thread and back: the
+/// wake-up cost every in-process link frame pays, with no link code. A
+/// fixed count (--smoke too), so the row the gate divides by is steady.
+constexpr int kCalibrationRoundTrips = 5000;
+
+Result bench_condvar_pingpong() {
+  std::mutex mu;
+  std::condition_variable cv;
+  int pings = 0;
+  int pongs = 0;
+  std::thread echo([&] {
+    std::unique_lock<std::mutex> lk(mu);
+    for (int i = 0; i < kCalibrationRoundTrips; ++i) {
+      cv.wait(lk, [&] { return pings > i; });
+      ++pongs;
+      cv.notify_all();
+    }
+  });
+  std::vector<double> rtts_us;
+  rtts_us.reserve(kCalibrationRoundTrips);
+  for (int i = 0; i < kCalibrationRoundTrips; ++i) {
+    const auto t0 = Clock::now();
+    std::unique_lock<std::mutex> lk(mu);
+    ++pings;
+    cv.notify_all();
+    cv.wait(lk, [&] { return pongs > i; });
+    rtts_us.push_back(
+        std::chrono::duration<double, std::micro>(Clock::now() - t0).count());
+  }
+  echo.join();
+  Result r;
+  r.rtt_p50_us = percentile(rtts_us, 0.50);
+  r.rtt_p99_us = percentile(rtts_us, 0.99);
+  return r;
+}
+
 // --- In-process NetworkLink baseline ---------------------------------------
 
 Result bench_link(std::size_t payload_bytes) {
@@ -237,6 +278,11 @@ int main(int argc, char** argv) {
   tart::bench::Table table({"transport", "payload B", "frames/s", "MiB/s",
                             "rtt p50 us", "rtt p99 us"});
   tart::bench::JsonResult results("net");
+  const Result calib = bench_condvar_pingpong();
+  std::printf("calibration: condvar ping-pong rtt p50 %.1f us, p99 %.1f us\n",
+              calib.rtt_p50_us, calib.rtt_p99_us);
+  results.metric("calib_condvar_rtt_p50_us", calib.rtt_p50_us);
+  results.metric("calib_condvar_rtt_p99_us", calib.rtt_p99_us);
   const std::vector<std::size_t> payloads =
       smoke ? std::vector<std::size_t>{16, 4096}
             : std::vector<std::size_t>{16, 256, 4096};

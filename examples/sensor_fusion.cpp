@@ -42,6 +42,7 @@ class CalibrationService : public core::Component {
   void capture_delta(serde::Writer& w) override {
     offsets_.capture_delta(w);
   }
+  void full_captured() override { offsets_.full_captured(); }
   [[nodiscard]] bool supports_delta() const override { return true; }
   void restore_full(serde::Reader& r) override { offsets_.restore_full(r); }
   void apply_delta(serde::Reader& r) override { offsets_.apply_delta(r); }

@@ -16,7 +16,14 @@ Metric direction and tolerance are inferred from the metric name:
   *_frames_s / *_req_s / *_mib_s / *speedup*   higher is better; gate on drop
   *_us / *_ms (latencies, RTO)                 lower is better; gate on growth
   covered / suffix                             exact workload counts; equal
+  calib_*                                      host calibration; informational
   everything else                              informational only
+
+The in-process link rows (link_*) time thread wake-ups, so they follow the
+machine, not the code. They are gated as ratios to the same run's condvar
+ping-pong calibration (calib_condvar_rtt_p50_us, or _p99_us for p99 rows):
+latencies divided by it, throughputs multiplied by it. A baseline and a
+fresh run from different hosts then compare what the link code adds.
 
 Smoke runs on shared CI boxes are noisy, so the default tolerances are
 deliberately wide (35% throughput drop, 75% latency growth); the gate exists
@@ -37,12 +44,15 @@ THROUGHPUT_TOLERANCE = 0.35  # allowed fractional drop for higher-is-better
 LATENCY_TOLERANCE = 0.75     # allowed fractional growth for lower-is-better
 
 EXACT_METRICS = {"covered", "suffix"}
+CALIBRATED_PREFIX = "link_"
 
 
 def classify(name: str):
     """Return (direction, tolerance): 'higher'|'lower'|'exact'|'info'."""
     if name in EXACT_METRICS:
         return "exact", 0.0
+    if name.startswith("calib_"):
+        return "info", 0.0
     if name.endswith(("_frames_s", "_req_s", "_mib_s")) or "speedup" in name:
         return "higher", THROUGHPUT_TOLERANCE
     if name.endswith(("_us", "_ms")):
@@ -58,9 +68,26 @@ def load(path: pathlib.Path):
     return doc
 
 
+def calibrated(metrics: dict, path: pathlib.Path):
+    """The metrics with link_* rows replaced by ratios to the calibration."""
+    out = dict(metrics)
+    for name, value in metrics.items():
+        if not name.startswith(CALIBRATED_PREFIX):
+            continue
+        calib_name = ("calib_condvar_rtt_p99_us" if name.endswith("_p99_us")
+                      else "calib_condvar_rtt_p50_us")
+        calib = float(metrics.get(calib_name, 0))
+        if calib <= 0:
+            raise ValueError(f"{path}: {name} needs a positive {calib_name}")
+        direction, _ = classify(name)
+        out[name] = (float(value) * calib if direction == "higher"
+                     else float(value) / calib)
+    return out
+
+
 def compare_file(base_path: pathlib.Path, out_path: pathlib.Path, scale: float):
-    base = load(base_path)["metrics"]
-    fresh = load(out_path)["metrics"]
+    base = calibrated(load(base_path)["metrics"], base_path)
+    fresh = calibrated(load(out_path)["metrics"], out_path)
     rows = []
     failures = []
     for name in sorted(set(base) | set(fresh)):
@@ -145,6 +172,8 @@ def main():
             all_failures.append(str(e))
             continue
         print_table(out_path.name, rows)
+        if any(row[0].startswith(CALIBRATED_PREFIX) for row in rows):
+            print(f"({CALIBRATED_PREFIX}* rows: ratios to calib_condvar_rtt_*)")
         all_failures.extend(failures)
         compared += 1
 

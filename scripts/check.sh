@@ -89,11 +89,13 @@ fi
 # runner threads calling the gateway's output listener, which posts to the
 # gateway loop; group commit against probes; trace writers; staged bursts
 # routed between runners while probes read their counts and horizons, and
-# across crash/recover. Built and run by name so a filter change in the
-# suites can't silently drop them.
+# across crash/recover; runners entering and leaving the active count while
+# drain, catch-up and the checkpoint barrier wait on it. Built and run by
+# name so a filter change in the suites can't silently drop them.
 echo "== ThreadSanitizer subset =="
 tsan_tests=(gateway_test core_runtime_test stable_store_test
-            trace_determinism_test property_determinism_test recovery_test)
+            trace_determinism_test property_determinism_test recovery_test
+            runner_behavior_test durability_test)
 cmake -B build-tsan -S . -DTART_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$(nproc)" --target "${tsan_tests[@]}"
 for t in "${tsan_tests[@]}"; do

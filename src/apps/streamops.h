@@ -89,6 +89,10 @@ class TumblingWindowSum : public core::Component {
 
   void capture_full(serde::Writer& w) const override;
   void capture_delta(serde::Writer& w) override;
+  void full_captured() override {
+    window_id_.full_captured();
+    window_sum_.full_captured();
+  }
   [[nodiscard]] bool supports_delta() const override { return true; }
   void restore_full(serde::Reader& r) override;
   void apply_delta(serde::Reader& r) override;
@@ -118,6 +122,10 @@ class KeyedJoin : public core::Component {
 
   void capture_full(serde::Writer& w) const override;
   void capture_delta(serde::Writer& w) override;
+  void full_captured() override {
+    left_.full_captured();
+    right_.full_captured();
+  }
   [[nodiscard]] bool supports_delta() const override { return true; }
   void restore_full(serde::Reader& r) override;
   void apply_delta(serde::Reader& r) override;
@@ -137,6 +145,7 @@ class DeduplicateOperator : public core::Component {
 
   void capture_full(serde::Writer& w) const override;
   void capture_delta(serde::Writer& w) override;
+  void full_captured() override { seen_.full_captured(); }
   [[nodiscard]] bool supports_delta() const override { return true; }
   void restore_full(serde::Reader& r) override;
   void apply_delta(serde::Reader& r) override;

@@ -29,6 +29,7 @@ class WordCountSender : public core::Component {
 
   void capture_full(serde::Writer& w) const override { map_.capture_full(w); }
   void capture_delta(serde::Writer& w) override { map_.capture_delta(w); }
+  void full_captured() override { map_.full_captured(); }
   [[nodiscard]] bool supports_delta() const override { return true; }
   void restore_full(serde::Reader& r) override { map_.restore_full(r); }
   void apply_delta(serde::Reader& r) override { map_.apply_delta(r); }
@@ -49,6 +50,7 @@ class TotalingMerger : public core::Component {
     total_.capture_full(w);
   }
   void capture_delta(serde::Writer& w) override { total_.capture_delta(w); }
+  void full_captured() override { total_.full_captured(); }
   [[nodiscard]] bool supports_delta() const override { return true; }
   void restore_full(serde::Reader& r) override { total_.restore_full(r); }
   void apply_delta(serde::Reader& r) override { total_.apply_delta(r); }

@@ -24,6 +24,11 @@ class Checkpointable {
   /// never smaller).
   virtual void capture_delta(serde::Writer& w) { capture_full(w); }
 
+  /// A full capture became a checkpoint: resets the change tracking, so
+  /// the next delta holds only later changes. capture_full stays const
+  /// (state fingerprints take full captures too). Default: nothing tracked.
+  virtual void full_captured() {}
+
   /// True when the implementation produces genuine deltas; lets the
   /// checkpoint scheduler decide between full and incremental cycles.
   [[nodiscard]] virtual bool supports_delta() const { return false; }

@@ -140,6 +140,14 @@ class CheckpointedMap final : public Checkpointable {
     possible_duplicates_ = 0;
   }
 
+  void full_captured() override {
+    for (const K& key : dirty_)
+      if (const auto it = map_.find(key); it != map_.end())
+        it->second.dirty = false;
+    dirty_.clear();
+    possible_duplicates_ = 0;
+  }
+
   [[nodiscard]] bool supports_delta() const override { return true; }
 
   void restore_full(serde::Reader& r) override {

@@ -40,6 +40,8 @@ class CheckpointedValue final : public Checkpointable {
     dirty_ = false;
   }
 
+  void full_captured() override { dirty_ = false; }
+
   [[nodiscard]] bool supports_delta() const override { return true; }
 
   void restore_full(serde::Reader& r) override {
@@ -69,6 +71,9 @@ class CheckpointGroup final : public Checkpointable {
   }
   void capture_delta(serde::Writer& w) override {
     for (auto* m : members_) m->capture_delta(w);
+  }
+  void full_captured() override {
+    for (auto* m : members_) m->full_captured();
   }
   [[nodiscard]] bool supports_delta() const override {
     for (const auto* m : members_)

@@ -23,6 +23,7 @@ bool ReplicaStore::store(ComponentSnapshot snapshot) {
   if (accepted && trace_ != nullptr)
     trace_->record(component, trace::TraceEventKind::kCheckpoint, vt,
                    WireId::invalid(), version);
+  if (accepted) accepted_.notify_all();  // the checkpoint barrier waits
   return accepted;
 }
 
@@ -71,6 +72,22 @@ std::optional<RestorePlan> ReplicaStore::restore(ComponentId component) const {
 
 std::uint64_t ReplicaStore::latest_version(ComponentId component) const {
   const std::lock_guard<std::mutex> lock(mutex_);
+  return latest_version_locked(component);
+}
+
+bool ReplicaStore::wait_past(
+    const std::map<ComponentId, std::uint64_t>& past,
+    std::chrono::steady_clock::time_point deadline) const {
+  std::unique_lock<std::mutex> lock(mutex_);
+  return accepted_.wait_until(lock, deadline, [&] {
+    for (const auto& [component, version] : past)
+      if (latest_version_locked(component) <= version) return false;
+    return true;
+  });
+}
+
+std::uint64_t ReplicaStore::latest_version_locked(
+    ComponentId component) const {
   const auto it = plans_.find(component);
   if (it == plans_.end()) return 0;
   const RestorePlan& plan = it->second;

@@ -11,6 +11,8 @@
 // Thread-safe: soft checkpoints arrive asynchronously from engine threads.
 #pragma once
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -49,6 +51,12 @@ class ReplicaStore {
   /// Latest version held for a component (0 if none).
   [[nodiscard]] std::uint64_t latest_version(ComponentId component) const;
 
+  /// Blocks until each component in `past` holds a version above the one
+  /// mapped to it, or `deadline` passes; true when all did. Woken by every
+  /// accepted snapshot.
+  bool wait_past(const std::map<ComponentId, std::uint64_t>& past,
+                 std::chrono::steady_clock::time_point deadline) const;
+
   /// Consistent copy of every component's restore plan, taken under the
   /// store lock — the state a durable checkpoint file persists.
   [[nodiscard]] std::map<ComponentId, RestorePlan> export_plans() const;
@@ -78,8 +86,11 @@ class ReplicaStore {
 
  private:
   bool store_locked(ComponentSnapshot snapshot);
+  [[nodiscard]] std::uint64_t latest_version_locked(
+      ComponentId component) const;
 
   mutable std::mutex mutex_;
+  mutable std::condition_variable accepted_;
   std::map<ComponentId, RestorePlan> plans_;
   std::uint64_t bytes_ = 0;
   std::uint64_t count_ = 0;

@@ -9,7 +9,7 @@ Engine::Engine(EngineId id, const Topology& topology,
                const RuntimeConfig& config, FrameRouter& router,
                log::DeterminismFaultLog& fault_log,
                checkpoint::ReplicaStore& replica, obs::Registry& registry,
-               trace::TraceRecorder* tracer)
+               Quiescence& quiescence, trace::TraceRecorder* tracer)
     : id_(id),
       topology_(topology),
       config_(config),
@@ -17,6 +17,7 @@ Engine::Engine(EngineId id, const Topology& topology,
       fault_log_(fault_log),
       replica_(replica),
       registry_(registry),
+      quiescence_(quiescence),
       tracer_(tracer) {}
 
 Engine::~Engine() { stop(); }
@@ -36,12 +37,12 @@ Engine::RunnerMap Engine::make_runners() const {
   for (const ComponentId c : placed) {
     runners.emplace(c, std::make_shared<ComponentRunner>(
                            topology_, c, config_, router_, fault_log_,
-                           replica_, registry_, tracer_));
+                           replica_, registry_, quiescence_, tracer_));
   }
   return runners;
 }
 
-std::shared_ptr<ComponentRunner> Engine::pin(ComponentId component) const {
+std::shared_ptr<ComponentRunner> Engine::runner(ComponentId component) const {
   const std::lock_guard<std::mutex> lk(map_mu_);
   if (crashed_.load()) return nullptr;
   const auto it = runners_.find(component);
@@ -58,31 +59,7 @@ std::vector<std::shared_ptr<ComponentRunner>> Engine::pin_all() const {
 }
 
 void Engine::start() {
-  // Starting is the same protocol as recovering: restore whatever the
-  // replica holds (nullopt -> fresh component) and request replay past the
-  // restored positions. On a fresh deployment the requests are no-ops; on
-  // a cold restart over persisted state they resume the execution.
-  RunnerMap runners = make_runners();
-  for (auto& [c, r] : runners) {
-    const auto plan = replica_.restore(c);
-    // A cold restart that found persisted state IS a recovery: the marker
-    // tells the trace differ (diff --recovery) which dispatch prefix the
-    // restored checkpoint already covers. A truly fresh component gets no
-    // marker — its trace must match a never-failed run exactly.
-    if (plan && tracer_ != nullptr) {
-      const checkpoint::ComponentSnapshot& last =
-          plan->deltas.empty() ? plan->base : plan->deltas.back();
-      tracer_->record(c, trace::TraceEventKind::kRecoveryStart, last.vt,
-                      WireId::invalid(), last.version);
-    }
-    r->restore_from(plan);
-  }
-  {
-    const std::lock_guard<std::mutex> lk(map_mu_);
-    runners_ = std::move(runners);
-  }
-  for (const auto& r : pin_all()) r->request_replays();
-  for (const auto& r : pin_all()) r->start();
+  launch(false);
   started_ = true;
   if (config_.silence.aggressive_interval.count() > 0 &&
       !aggressive_thread_.joinable()) {
@@ -123,23 +100,16 @@ void Engine::crash() {
 
 void Engine::recover() {
   assert(crashed_.load());
+  launch(true);
+}
+
+void Engine::launch(bool recovering) {
+  // Starting is the same protocol as recovering: restore whatever the
+  // replica holds (nullopt -> fresh component) and request replay past the
+  // restored positions. On a fresh deployment the requests are no-ops; on
+  // a cold restart over persisted state they resume the execution.
   RunnerMap runners = make_runners();
-  for (auto& [c, r] : runners) {
-    const auto plan = replica_.restore(c);
-    // Recorded here rather than in restore_from so a component that never
-    // checkpointed (restart-from-scratch) still gets its recovery marker —
-    // the differ needs it to license the replayed dispatch stutter.
-    if (tracer_ != nullptr) {
-      const checkpoint::ComponentSnapshot* last =
-          plan ? (plan->deltas.empty() ? &plan->base : &plan->deltas.back())
-               : nullptr;
-      tracer_->record(c, trace::TraceEventKind::kRecoveryStart,
-                      last != nullptr ? last->vt : VirtualTime(-1),
-                      WireId::invalid(),
-                      last != nullptr ? last->version : 0);
-    }
-    r->restore_from(plan);
-  }
+  for (auto& [c, r] : runners) restore(*r, replica_.restore(c), recovering);
   // Request replays before the scheduler threads start: request_replays
   // reads the restored input positions, which the running threads mutate.
   // Replayed frames arriving before start() simply queue in the inboxes —
@@ -153,9 +123,28 @@ void Engine::recover() {
   for (const auto& r : pin_all()) r->start();
 }
 
+void Engine::restore(ComponentRunner& r,
+                     const std::optional<checkpoint::RestorePlan>& plan,
+                     bool mark_fresh) {
+  // The marker tells the trace differ (diff --recovery) which dispatch
+  // prefix the restored plan covers. A recovered or adopted component that
+  // never checkpointed gets one too (the differ licenses its replayed
+  // stutter); a first start without persisted state gets none, since its
+  // trace must match a never-failed run exactly.
+  if (tracer_ != nullptr && (plan || mark_fresh)) {
+    const checkpoint::ComponentSnapshot* last =
+        plan ? (plan->deltas.empty() ? &plan->base : &plan->deltas.back())
+             : nullptr;
+    tracer_->record(r.id(), trace::TraceEventKind::kRecoveryStart,
+                    last != nullptr ? last->vt : VirtualTime(-1),
+                    WireId::invalid(), last != nullptr ? last->version : 0);
+  }
+  r.restore_from(plan);
+}
+
 void Engine::deliver_to_receiver(WireId wire, const transport::Frame& frame) {
   const auto& spec = topology_.wire(wire);
-  const auto r = pin(spec.to);
+  const auto r = runner(spec.to);
   if (r == nullptr) return;  // crashed: the machine is gone, frames lost
 
   if (const auto* data = std::get_if<transport::DataFrame>(&frame)) {
@@ -173,7 +162,7 @@ void Engine::deliver_to_receiver(WireId wire, const transport::Frame& frame) {
 
 void Engine::deliver_batch(WireId wire, std::vector<Message>& batch) {
   const auto& spec = topology_.wire(wire);
-  const auto r = pin(spec.to);
+  const auto r = runner(spec.to);
   if (r == nullptr) return;  // crashed: the machine is gone, frames lost
   if (spec.kind == WireKind::kReply) {
     for (const Message& m : batch) r->deliver_reply(m);
@@ -184,7 +173,7 @@ void Engine::deliver_batch(WireId wire, std::vector<Message>& batch) {
 
 void Engine::deliver_to_sender(WireId wire, const transport::Frame& frame) {
   const auto& spec = topology_.wire(wire);
-  const auto r = pin(spec.from);
+  const auto r = runner(spec.from);
   if (r == nullptr) return;
 
   if (std::holds_alternative<transport::ProbeFrame>(frame)) {
@@ -197,10 +186,6 @@ void Engine::deliver_to_sender(WireId wire, const transport::Frame& frame) {
                  std::get_if<transport::StabilityFrame>(&frame)) {
     r->enqueue_control(StabilityCtl{stability->wire, stability->through});
   }
-}
-
-std::shared_ptr<ComponentRunner> Engine::runner(ComponentId component) const {
-  return pin(component);
 }
 
 bool Engine::all_exhausted() const {
@@ -217,11 +202,6 @@ bool Engine::all_exhausted() const {
   return true;
 }
 
-MetricsSnapshot Engine::metrics(ComponentId component) const {
-  const auto r = pin(component);
-  return r == nullptr ? MetricsSnapshot{} : r->metrics();
-}
-
 std::vector<ComponentId> Engine::components() const {
   const std::lock_guard<std::mutex> lk(map_mu_);
   return placed_;
@@ -234,20 +214,10 @@ bool Engine::adopt_component(
     const std::lock_guard<std::mutex> lk(map_mu_);
     if (runners_.count(component) != 0) return false;
   }
-  auto r = std::make_shared<ComponentRunner>(topology_, component, config_,
-                                             router_, fault_log_, replica_,
-                                             registry_, tracer_);
-  // Adoption IS recovery on a new node: the marker tells the trace differ
-  // (diff --recovery) which dispatch prefix the restored plan covers.
-  if (tracer_ != nullptr) {
-    const checkpoint::ComponentSnapshot* last =
-        plan ? (plan->deltas.empty() ? &plan->base : &plan->deltas.back())
-             : nullptr;
-    tracer_->record(component, trace::TraceEventKind::kRecoveryStart,
-                    last != nullptr ? last->vt : VirtualTime(-1),
-                    WireId::invalid(), last != nullptr ? last->version : 0);
-  }
-  r->restore_from(plan);
+  auto r = std::make_shared<ComponentRunner>(
+      topology_, component, config_, router_, fault_log_, replica_, registry_,
+      quiescence_, tracer_);
+  restore(*r, plan, true);  // adoption IS recovery on a new node
   {
     const std::lock_guard<std::mutex> lk(map_mu_);
     if (!runners_.emplace(component, r).second) return false;  // raced adopt

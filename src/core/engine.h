@@ -41,7 +41,7 @@ class Engine {
   Engine(EngineId id, const Topology& topology, const RuntimeConfig& config,
          FrameRouter& router, log::DeterminismFaultLog& fault_log,
          checkpoint::ReplicaStore& replica, obs::Registry& registry,
-         trace::TraceRecorder* tracer);
+         Quiescence& quiescence, trace::TraceRecorder* tracer);
   ~Engine();
 
   Engine(const Engine&) = delete;
@@ -90,20 +90,24 @@ class Engine {
   /// (ComponentRunner::deliver_batch); the messages are moved out.
   void deliver_batch(WireId wire, std::vector<Message>& batch);
 
+  /// Pins the runner hosting `component`; nullptr when crashed or unknown.
   [[nodiscard]] std::shared_ptr<ComponentRunner> runner(
       ComponentId component) const;
   [[nodiscard]] bool all_exhausted() const;
-  [[nodiscard]] MetricsSnapshot metrics(ComponentId component) const;
   [[nodiscard]] std::vector<ComponentId> components() const;
 
  private:
   using RunnerMap = std::map<ComponentId, std::shared_ptr<ComponentRunner>>;
 
   [[nodiscard]] RunnerMap make_runners() const;
-  /// Pins the runner hosting `component`; nullptr when crashed or unknown.
-  [[nodiscard]] std::shared_ptr<ComponentRunner> pin(
-      ComponentId component) const;
   [[nodiscard]] std::vector<std::shared_ptr<ComponentRunner>> pin_all() const;
+  /// Builds, restores and starts every placed runner (start and recover).
+  void launch(bool recovering);
+  /// Restores `r` from `plan`, recording the trace's recovery marker when
+  /// there is a plan or `mark_fresh`.
+  void restore(ComponentRunner& r,
+               const std::optional<checkpoint::RestorePlan>& plan,
+               bool mark_fresh);
   void aggressive_loop();
 
   const EngineId id_;
@@ -113,6 +117,7 @@ class Engine {
   log::DeterminismFaultLog& fault_log_;
   checkpoint::ReplicaStore& replica_;
   obs::Registry& registry_;
+  Quiescence& quiescence_;
   trace::TraceRecorder* const tracer_;
 
   /// Guarded by map_mu_ since live migration mutates it mid-run.

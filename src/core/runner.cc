@@ -143,6 +143,7 @@ ComponentRunner::ComponentRunner(const Topology& topology, ComponentId id,
                                  log::DeterminismFaultLog& fault_log,
                                  checkpoint::ReplicaStore& replica,
                                  obs::Registry& registry,
+                                 Quiescence& quiescence,
                                  trace::TraceRecorder* tracer)
     : topology_(topology),
       id_(id),
@@ -151,6 +152,7 @@ ComponentRunner::ComponentRunner(const Topology& topology, ComponentId id,
       router_(router),
       replica_(replica),
       registry_(registry),
+      quiescence_(quiescence),
       tracer_(tracer),
       bias_([&] {
         const auto it = config.bias.find(id);
@@ -237,6 +239,7 @@ ComponentRunner::~ComponentRunner() { stop(); }
 void ComponentRunner::start() {
   assert(!thread_.joinable());
   stop_ = false;
+  quiescence_.enter();  // left when run() returns
   thread_ = std::thread([this] { run(); });
 }
 
@@ -259,6 +262,7 @@ void ComponentRunner::deliver_data(const Message& m) {
   {
     const std::lock_guard<std::mutex> lk(mu_);
     gap = accept_locked(Message(m));
+    hand_over_locked();
   }
   cv_.notify_all();
   if (gap) router_.to_sender(m.wire, *gap);
@@ -276,6 +280,7 @@ void ComponentRunner::deliver_batch(std::vector<Message>& batch) {
       // request from the first missing seq covers them all.
       if (g && !gap) gap = g;
     }
+    hand_over_locked();
   }
   cv_.notify_all();
   if (gap) router_.to_sender(wire, *gap);
@@ -338,6 +343,7 @@ void ComponentRunner::deliver_silence(WireId wire, VirtualTime through,
       // Arrival-order baseline: only close tracking, no tick accounting.
       (void)inbox_.announce_silence(wire, through, 0);
     }
+    hand_over_locked();
   }
   cv_.notify_all();
   if (gap) {
@@ -405,8 +411,30 @@ void ComponentRunner::enqueue_control(ControlMsg msg) {
   {
     const std::lock_guard<std::mutex> lk(mu_);
     control_.push_back(std::move(msg));
+    hand_over_locked();
   }
   cv_.notify_all();
+}
+
+void ComponentRunner::hand_over_locked() {
+  handed_ = true;
+  if (parked_) {
+    parked_ = false;
+    quiescence_.enter();
+  }
+}
+
+void ComponentRunner::park(std::unique_lock<std::mutex>& lk,
+                           std::chrono::nanoseconds timeout) {
+  // Something landed while the loop had mu_ released: look again first.
+  if (handed_ || stop_.load()) return;
+  parked_ = true;
+  quiescence_.leave();
+  cv_.wait_for(lk, timeout);
+  if (parked_) {  // timed or spurious wake-up: nobody counted it back in
+    parked_ = false;
+    quiescence_.enter();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -428,36 +456,13 @@ void ComponentRunner::run() {
 
   try {
     while (!stop_.load()) {
+      handed_ = false;  // this pass sees everything handed over until now
       // Control work first: replay/stability/dup-call touch runner-private
       // state, so they run here, between handler invocations.
       drain_control(lk);
       if (stop_.load()) break;
 
-      if (config_.mode == SchedulingMode::kArrivalOrder) {
-        if (!arrival_queue_.empty()) {
-          Message m = std::move(arrival_queue_.front());
-          arrival_queue_.pop_front();
-          in_handler_ = true;
-          lk.unlock();
-          process(m);
-          lk.lock();
-          if (++burst_ == kMaxBurst) end_burst(lk);
-          continue;
-        }
-        if (in_handler_) {
-          end_burst(lk);
-          continue;
-        }
-        if (inbox_.exhausted() && !final_silence_sent_) {
-          lk.unlock();
-          publish_final_silence();
-          lk.lock();
-        }
-        cv_.wait_for(lk, std::chrono::milliseconds(1));
-        continue;
-      }
-
-      if (auto m = inbox_.pop()) {
+      if (auto m = pop_locked()) {
         if (head_was_delayed) {
           const std::int64_t stall_ns = ns_between(stall_start, Clock::now());
           // The blocking wire: when the held head itself released, the last
@@ -568,14 +573,16 @@ void ComponentRunner::run() {
           }
           lk.lock();
           if (stop_.load()) break;
-          // Re-check: probe responses may already have landed.
+          // Re-check: probe responses may already have landed. This check
+          // is what they were for, so they do not count as new work.
           if (inbox_.head_eligible()) {
             metrics_.pessimism_wait_ns.inc(
                 static_cast<std::uint64_t>(ns_between(t0, Clock::now())));
             continue;
           }
+          handed_ = !control_.empty();
         }
-        cv_.wait_for(lk, config_.silence.probe_interval);
+        park(lk, config_.silence.probe_interval);
         metrics_.pessimism_wait_ns.inc(
             static_cast<std::uint64_t>(ns_between(t0, Clock::now())));
         continue;
@@ -587,7 +594,7 @@ void ComponentRunner::run() {
           publish_final_silence();
           lk.lock();
         }
-        cv_.wait_for(lk, std::chrono::milliseconds(5));
+        park(lk, std::chrono::milliseconds(5));
         continue;
       }
 
@@ -615,7 +622,7 @@ void ComponentRunner::run() {
       flush_probe_responses();
       lk.lock();
       if (stop_.load()) break;
-      cv_.wait_for(lk, std::chrono::milliseconds(1));
+      park(lk, std::chrono::milliseconds(1));
     }
     // Stopped mid-burst: what the burst sent goes out, so seal_outputs
     // (migration) and receivers see every frame next_seq will count.
@@ -636,14 +643,25 @@ void ComponentRunner::run() {
     lk.lock();
     in_handler_ = false;
   }
+  quiescence_.leave();
+}
+
+std::optional<Message> ComponentRunner::pop_locked() {
+  if (config_.mode == SchedulingMode::kDeterministic) return inbox_.pop();
+  // Arrival order: data bypasses the inbox, which tracks only closure; the
+  // pessimism path below never engages.
+  if (arrival_queue_.empty()) return std::nullopt;
+  Message m = std::move(arrival_queue_.front());
+  arrival_queue_.pop_front();
+  return m;
 }
 
 void ComponentRunner::end_burst(std::unique_lock<std::mutex>& lk) {
   lk.unlock();
   flush_staged();
   lk.lock();
-  // Only now: a quiescence check between the flush and here still sees
-  // the runner busy, never idle with output in hand.
+  // Only now: exhausted() between the flush and here still sees the
+  // runner working, never idle with output in hand.
   in_handler_ = false;
   burst_ = 0;
 }
@@ -1057,6 +1075,7 @@ void ComponentRunner::capture_checkpoint() {
     component_->capture_delta(w);
   } else {
     component_->capture_full(w);
+    component_->full_captured();
   }
   s.state = w.take();
   s.vt = current_vt_;
@@ -1179,23 +1198,10 @@ std::vector<ComponentRunner::SilenceUpdate> ComponentRunner::seal_outputs()
   return out;
 }
 
-VirtualTime ComponentRunner::published_horizon(WireId wire) const {
-  const auto it = outputs_.find(wire);
-  if (it == outputs_.end()) return VirtualTime(-1);
-  return VirtualTime(it->second->published.load());
-}
-
 bool ComponentRunner::exhausted() const {
   const std::lock_guard<std::mutex> lk(mu_);
-  if (in_handler_ || !control_.empty()) return false;
-  if (config_.mode == SchedulingMode::kArrivalOrder)
-    return arrival_queue_.empty() && inbox_.exhausted();
-  return inbox_.exhausted();
-}
-
-VirtualTime ComponentRunner::current_vt() const {
-  const std::lock_guard<std::mutex> lk(mu_);
-  return current_vt_.load(std::memory_order_relaxed);
+  return !in_handler_ && control_.empty() && arrival_queue_.empty() &&
+         inbox_.exhausted();
 }
 
 ComponentStatus ComponentRunner::status() const {
@@ -1204,11 +1210,8 @@ ComponentStatus ComponentRunner::status() const {
   st.id = id_;
   st.name = name_;
   st.vt_ticks = current_vt_.load(std::memory_order_relaxed).ticks();
-  st.pending = inbox_.pending();
-  if (config_.mode == SchedulingMode::kArrivalOrder)
-    st.pending += arrival_queue_.size();
+  st.pending = inbox_.pending() + arrival_queue_.size();
   st.exhausted = !in_handler_ && inbox_.exhausted();
-  st.busy = in_handler_;
   const auto head = inbox_.peek();
   st.held = head.has_value() && !inbox_.head_eligible();
   if (st.held) {

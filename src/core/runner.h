@@ -28,12 +28,14 @@
 // horizons are atomics readable by any thread. Frames are never routed
 // while holding `mu_` (no lock-order cycles between runners).
 //
-// Staging: `in_handler_` stays set from the first dispatch of a burst
-// until its staged frames are routed, so quiescence (exhausted(), status
-// busy) never reports a runner idle with output still in hand.
+// Activity: the runner is in the runtime's Quiescence count except while
+// its thread is parked. It parks only with its burst routed and nothing
+// handed over since it last looked; each entry point that hands it work
+// puts a parked runner back in the count under `mu_`.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -52,6 +54,7 @@
 #include "core/component.h"
 #include "core/config.h"
 #include "core/metrics.h"
+#include "core/quiescence.h"
 #include "core/router.h"
 #include "core/status.h"
 #include "core/topology.h"
@@ -102,14 +105,14 @@ using ControlMsg = std::variant<ReplayRequestCtl, StabilityCtl, DupCallCtl,
 class ComponentRunner {
  public:
   /// `tracer` may be null (tracing disabled): every record point then
-  /// costs a single branch. `registry` outlives the runner (owned by the
-  /// Runtime); re-registration after crash/recover re-attaches to the
-  /// same cells.
+  /// costs a single branch. `registry` and `quiescence` outlive the runner
+  /// (owned by the Runtime); re-registration after crash/recover
+  /// re-attaches to the same cells.
   ComponentRunner(const Topology& topology, ComponentId id,
                   const RuntimeConfig& config, FrameRouter& router,
                   log::DeterminismFaultLog& fault_log,
                   checkpoint::ReplicaStore& replica, obs::Registry& registry,
-                  trace::TraceRecorder* tracer);
+                  Quiescence& quiescence, trace::TraceRecorder* tracer);
   ~ComponentRunner();
 
   ComponentRunner(const ComponentRunner&) = delete;
@@ -151,7 +154,6 @@ class ComponentRunner {
 
   [[nodiscard]] ComponentId id() const { return id_; }
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] VirtualTime published_horizon(WireId wire) const;
   [[nodiscard]] MetricsSnapshot metrics() const {
     MetricsSnapshot s = metrics_.snapshot();
     if (tracer_ != nullptr) {
@@ -162,7 +164,6 @@ class ComponentRunner {
   }
   /// All inputs closed and processed, no handler running.
   [[nodiscard]] bool exhausted() const;
-  [[nodiscard]] VirtualTime current_vt() const;
 
   /// Silence-wavefront view: the VT frontier, per-input-wire horizons and
   /// queue depths, and — when the head is held by pessimism — which wires
@@ -238,6 +239,8 @@ class ComponentRunner {
   /// Offers one arriving message (mu_ held); returns the replay request
   /// to send when it revealed a gap.
   std::optional<transport::ReplayRequestFrame> accept_locked(Message&& m);
+  /// The next message to run, if one is eligible (mu_ held).
+  std::optional<Message> pop_locked();
   /// Routes the burst's staged frames and closes it (in_handler_ cleared).
   /// Called with `lk` held; routes with it released.
   void end_burst(std::unique_lock<std::mutex>& lk);
@@ -246,8 +249,15 @@ class ComponentRunner {
   /// locks held.
   void flush_staged();
   void drain_control(std::unique_lock<std::mutex>& lk);
+  /// An entry point handed over work (mu_ held): a parked runner is back
+  /// in the Quiescence count before the hand-off returns.
+  void hand_over_locked();
+  /// Waits up to `timeout` for work, out of the Quiescence count, unless
+  /// work was handed over since this pass of the loop began or the runner
+  /// is stopping. `lk` holds mu_.
+  void park(std::unique_lock<std::mutex>& lk,
+            std::chrono::nanoseconds timeout);
   void serve_control(const ControlMsg& msg);
-  void send_probes();
 
   /// Sends one message on a specific wire from handler context; returns
   /// the assigned virtual time. `explicit_delay` overrides the wire's
@@ -288,6 +298,7 @@ class ComponentRunner {
   FrameRouter& router_;
   checkpoint::ReplicaStore& replica_;
   obs::Registry& registry_;
+  Quiescence& quiescence_;
   /// Flight recorder; null when tracing is off. Owned by the Runtime, so
   /// a component's event stream continues across engine crash/recover.
   trace::TraceRecorder* const tracer_;
@@ -313,11 +324,14 @@ class ComponentRunner {
   std::atomic<bool> stop_{false};
   bool in_handler_ = false;
   bool final_silence_sent_ = false;
+  /// The thread waits in park(), out of the Quiescence count.
+  bool parked_ = false;
+  /// Work was handed over since this pass of the run loop began.
+  bool handed_ = false;
 
   // Runner-thread-private state.
-  /// Written by the runner thread only; status() and current_vt() read it
-  /// from other threads, hence atomic (relaxed: a report may trail by one
-  /// dispatch).
+  /// Written by the runner thread only; status() reads it from other
+  /// threads, hence atomic (relaxed: a report may trail by one dispatch).
   std::atomic<VirtualTime> current_vt_{VirtualTime::zero()};
   VirtualTime max_arrival_vt_ = VirtualTime(-1);  // out-of-order detection
   std::map<WireId, InputPos> input_pos_;          // data/call/external inputs

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
-#include <thread>
 #include <tuple>
 
 #include "durability/checkpoint_file.h"
@@ -47,28 +46,21 @@ Runtime::Runtime(Topology topology, std::map<ComponentId, EngineId> placement,
   // Exemplars tag fat buckets with the (wire, seq) lineage id: episode =
   // origin seq, wire = origin wire (`tart-trace lineage --input WIRE:SEQ`).
   e2e_hist_->enable_exemplars(4);
+  const auto local_engine = [this](EngineId engine) -> Engine& {
+    auto& slot = engines_[engine];
+    if (slot == nullptr)
+      slot = std::make_unique<Engine>(engine, topology_, config_, *this,
+                                      fault_log_, replica_, registry_,
+                                      quiescence_, tracer_.get());
+    return *slot;
+  };
   // Engines named by the placement; non-local engines live in peer
   // processes and are reached through the remote router.
-  for (const auto& [component, engine] : placement_) {
-    if (!engine_is_local(engine)) continue;
-    if (!engines_.contains(engine)) {
-      engines_.emplace(engine, std::make_unique<Engine>(
-                                   engine, topology_, config_, *this,
-                                   fault_log_, replica_, registry_,
-                                   tracer_.get()));
-    }
-    engines_.at(engine)->add_component(component);
-  }
+  for (const auto& [component, engine] : placement_)
+    if (engine_is_local(engine)) local_engine(engine).add_component(component);
   // A node that starts with no components still needs its engine running —
   // it may be the TARGET of a live migration and must be able to adopt.
-  for (const EngineId engine : config_.local_engines) {
-    if (!engines_.contains(engine)) {
-      engines_.emplace(engine, std::make_unique<Engine>(
-                                   engine, topology_, config_, *this,
-                                   fault_log_, replica_, registry_,
-                                   tracer_.get()));
-    }
-  }
+  for (const EngineId engine : config_.local_engines) local_engine(engine);
   // Stable storage: recover any previously persisted logs, then attach
   // write-through stores for this incarnation.
   const bool durable =
@@ -134,21 +126,8 @@ Runtime::Runtime(Topology topology, std::map<ComponentId, EngineId> placement,
 
   // External endpoints — only those adjacent to a local component: a
   // remote partition owns (logs, timestamps, replays) its own boundary.
-  for (const auto& spec : topology_.wires()) {
-    if (spec.kind == WireKind::kExternalInput &&
-        engine_is_local(engine_of(spec.to))) {
-      auto adapter = std::make_shared<InputAdapter>();
-      // Resume positions past anything recovered from stable storage
-      // (next_seq, not size: compaction may have truncated a covered
-      // prefix out of the retained log).
-      adapter->resume(message_log_.next_seq(spec.id),
-                      message_log_.last_vt(spec.id));
-      inputs_.emplace(spec.id, std::move(adapter));
-    }
-    if (spec.kind == WireKind::kExternalOutput &&
-        engine_is_local(engine_of(spec.from)))
-      outputs_.emplace(spec.id, std::make_shared<OutputSink>());
-  }
+  for (const auto& [component, engine] : placement_)
+    if (engine_is_local(engine)) open_boundary(component);
   // Simulated links between engine pairs (local pairs only; cross-process
   // pairs are bridged by the real socket transport instead).
   for (const auto& [pair, link_config] : config_.links) {
@@ -189,15 +168,12 @@ void Runtime::start() {
 
 bool Runtime::drain(std::chrono::milliseconds timeout) {
   close_all_inputs();
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  for (;;) {
-    bool all = true;
-    for (const auto& [id, engine] : engines_)
-      if (!engine->all_exhausted()) all = false;
-    if (all) return true;
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
+  return quiescence_.wait_until(
+      std::chrono::steady_clock::now() + timeout, [this] {
+        for (const auto& [id, engine] : engines_)
+          if (!engine->all_exhausted()) return false;
+        return true;
+      });
 }
 
 void Runtime::stop() {
@@ -231,92 +207,33 @@ std::int64_t wall_now_ns() {
 }
 }  // namespace
 
-void Runtime::record_ingest(const Message& m, std::int64_t arrive_ns,
-                            std::int64_t durable_ns) {
-  if (tracer_ == nullptr ||
-      !tracer_->wants(trace::TraceEventKind::kIngestArrive))
-    return;
-  tracer_->record(kEdgeTraceComponent, trace::TraceEventKind::kIngestArrive,
-                  m.vt, m.wire, m.seq,
-                  static_cast<std::uint64_t>(arrive_ns));
-  if (durable_ns >= 0)
-    tracer_->record(kEdgeTraceComponent,
-                    trace::TraceEventKind::kIngestDurable, m.vt, m.wire,
-                    m.seq, static_cast<std::uint64_t>(durable_ns));
-}
-
 VirtualTime Runtime::inject(WireId input_wire, Payload payload) {
-  const auto pinned = input_adapter(input_wire);
-  if (pinned == nullptr)
-    throw std::out_of_range("inject: wire has no local input adapter");
-  InputAdapter& in = *pinned;
-  const std::int64_t arrive_ns = wall_now_ns();
-  Message m;
-  {
-    const std::lock_guard<std::mutex> lk(in.mu);
-    if (in.closed)
-      throw std::logic_error("inject on closed external input");
-    if (in.source == InputAdapter::Source::kUnknown)
-      in.source = InputAdapter::Source::kRealtime;
-    // "It is safe to use the actual real time as the virtual time of this
-    // message" (§II.E) — clamped past any silence promise already issued
-    // and kept strictly increasing per wire.
-    m.vt = max(max(real_now(), in.last_vt.next()), in.promised.next());
-    m.wire = input_wire;
-    m.seq = in.next_seq++;
-    m.kind = MessageKind::kData;
-    m.payload = std::move(payload);
-    m.origin_wire = input_wire;
-    m.origin_seq = m.seq;
-    m.origin_wall_ns = arrive_ns;
-    // Logged synchronously *before* delivery: the message must be durable
-    // while its effects are not (§II.E). A message the store refused is
-    // never delivered, and its seq and vt are free again.
-    if (!message_log_.append(m)) {
-      --in.next_seq;
-      throw std::runtime_error("inject: stable-store append failed");
-    }
-    in.last_vt = m.vt;
-  }
-  record_ingest(m, arrive_ns, wall_now_ns());
-  to_receiver(input_wire, transport::DataFrame{m});
-  mark_handed(in, m);
-  return m.vt;
+  return accepted_vt(ingest({{input_wire, -1, std::move(payload)}}, false),
+                     "inject");
 }
 
 VirtualTime Runtime::inject_at(WireId input_wire, VirtualTime vt,
                                Payload payload) {
-  const auto pinned = input_adapter(input_wire);
-  if (pinned == nullptr)
-    throw std::out_of_range("inject_at: wire has no local input adapter");
-  InputAdapter& in = *pinned;
-  const std::int64_t arrive_ns = wall_now_ns();
-  Message m;
-  {
-    const std::lock_guard<std::mutex> lk(in.mu);
-    if (in.closed)
-      throw std::logic_error("inject on closed external input");
-    in.source = InputAdapter::Source::kScripted;
-    // Per-wire virtual times must be strictly increasing (one event per
-    // tick on a wire) and may not land on promised-silent ticks.
-    m.vt = max(max(vt, in.last_vt.next()), in.promised.next());
-    m.wire = input_wire;
-    m.seq = in.next_seq++;
-    m.kind = MessageKind::kData;
-    m.payload = std::move(payload);
-    m.origin_wire = input_wire;
-    m.origin_seq = m.seq;
-    m.origin_wall_ns = arrive_ns;
-    if (!message_log_.append(m)) {  // as in inject()
-      --in.next_seq;
-      throw std::runtime_error("inject_at: stable-store append failed");
-    }
-    in.last_vt = m.vt;
+  return accepted_vt(
+      ingest({{input_wire, vt.ticks(), std::move(payload)}}, true),
+      "inject_at");
+}
+
+VirtualTime Runtime::accepted_vt(const std::vector<InjectResult>& results,
+                                 const std::string& what) {
+  switch (results.front().status) {
+    case InjectStatus::kOk:
+      return results.front().vt;
+    case InjectStatus::kUnknownWire:
+      throw std::out_of_range(what + ": wire has no local input adapter");
+    case InjectStatus::kClosed:
+      throw std::logic_error(what + " on closed external input");
+    case InjectStatus::kStoreFailed:
+      throw std::runtime_error(what + ": stable-store append failed");
+    case InjectStatus::kVtRegressed:
+      break;  // only unclamped requests are refused
   }
-  record_ingest(m, arrive_ns, wall_now_ns());
-  to_receiver(input_wire, transport::DataFrame{m});
-  mark_handed(in, m);
-  return m.vt;
+  throw std::logic_error(what + ": virtual time regressed");
 }
 
 InjectResult Runtime::try_inject(WireId input_wire, Payload payload) {
@@ -331,12 +248,17 @@ InjectResult Runtime::try_inject_at(WireId input_wire, VirtualTime vt,
 
 std::vector<InjectResult> Runtime::try_inject_batch(
     const std::vector<InjectRequest>& requests) {
+  return ingest(requests, false);
+}
+
+std::vector<InjectResult> Runtime::ingest(
+    const std::vector<InjectRequest>& requests, bool clamp_vt) {
   std::vector<InjectResult> results(requests.size());
 
-  // Adapters of every wire named by the batch, locked in WireId order (the
-  // single-inject paths take one adapter lock at a time, so any consistent
-  // multi-lock order is deadlock-free against them). Pinned shared_ptrs: a
-  // concurrent eviction may erase the map entry mid-batch.
+  // Adapters of every wire named by the batch, locked in WireId order (any
+  // consistent multi-lock order is deadlock-free against other batches and
+  // the one-adapter paths). Pinned shared_ptrs: a concurrent eviction may
+  // erase the map entry mid-batch.
   std::map<WireId, std::shared_ptr<InputAdapter>> adapters;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     auto pinned = input_adapter(requests[i].wire);
@@ -357,8 +279,8 @@ std::vector<InjectResult> Runtime::try_inject_batch(
   }
 
   // Stamp and log while holding the locks: per-wire memory order, stable
-  // store order and seq order must agree even against concurrent single
-  // injections (which block on the same adapter locks meanwhile).
+  // store order and seq order must agree even against concurrent batches
+  // (which block on the same adapter locks meanwhile).
   std::vector<Message> batch;
   std::vector<std::size_t> batch_to_request;
   batch.reserve(requests.size());
@@ -371,21 +293,25 @@ std::vector<InjectResult> Runtime::try_inject_batch(
       continue;
     }
     Message m;
+    // Per-wire virtual times must be strictly increasing (one event per
+    // tick on a wire) and may not land on promised-silent ticks.
+    const VirtualTime floor = max(in.last_vt.next(), in.promised.next());
     if (req.vt < 0) {
-      // Real-time stamping, exactly as inject().
+      // "It is safe to use the actual real time as the virtual time of
+      // this message" (§II.E), clamped past the floor.
       if (in.source == InputAdapter::Source::kUnknown)
         in.source = InputAdapter::Source::kRealtime;
-      m.vt = max(max(real_now(), in.last_vt.next()), in.promised.next());
+      m.vt = max(real_now(), floor);
     } else {
-      // Scripted: refuse rather than clamp — the requested timestamp must
-      // land strictly after everything already logged or promised silent.
+      // Scripted: a requested timestamp below the floor is clamped up
+      // (inject_at) or refused, so a client learns it did not get it.
       const VirtualTime vt{req.vt};
-      if (vt <= in.last_vt || vt <= in.promised) {
+      if (vt < floor && !clamp_vt) {
         results[i].status = InjectStatus::kVtRegressed;
         continue;
       }
       in.source = InputAdapter::Source::kScripted;
-      m.vt = vt;
+      m.vt = max(vt, floor);
     }
     m.wire = req.wire;
     m.seq = in.next_seq++;
@@ -402,6 +328,8 @@ std::vector<InjectResult> Runtime::try_inject_batch(
     batch_to_request.push_back(i);
   }
   // One framed append + one flush for the whole batch: the group commit.
+  // Logged synchronously *before* delivery: the messages must be durable
+  // while their effects are not (§II.E).
   if (!message_log_.append_batch(batch)) {
     // Not durable, so not logged: nothing of the batch may affect the
     // system, and its seqs and vts are free again.
@@ -416,11 +344,21 @@ std::vector<InjectResult> Runtime::try_inject_batch(
 
   // Logged — now, and only now, let the messages affect the system (§II.E:
   // log before delivery).
+  const bool trace_ingest =
+      tracer_ != nullptr &&
+      tracer_->wants(trace::TraceEventKind::kIngestArrive);
   std::map<WireId, const Message*> last_of_wire;
-  for (std::size_t b = 0; b < batch.size(); ++b) {
-    record_ingest(batch[b], batch[b].origin_wall_ns, durable_ns);
-    to_receiver(batch[b].wire, transport::DataFrame{batch[b]});
-    last_of_wire[batch[b].wire] = &batch[b];
+  for (const Message& m : batch) {
+    if (trace_ingest) {
+      tracer_->record(kEdgeTraceComponent,
+                      trace::TraceEventKind::kIngestArrive, m.vt, m.wire,
+                      m.seq, static_cast<std::uint64_t>(m.origin_wall_ns));
+      tracer_->record(kEdgeTraceComponent,
+                      trace::TraceEventKind::kIngestDurable, m.vt, m.wire,
+                      m.seq, static_cast<std::uint64_t>(durable_ns));
+    }
+    to_receiver(m.wire, transport::DataFrame{m});
+    last_of_wire[m.wire] = &m;
   }
   for (const auto& [wire, m] : last_of_wire)
     mark_handed(*adapters.at(wire), *m);
@@ -678,45 +616,32 @@ void Runtime::route(EngineId src, EngineId dst, WireId wire,
 }
 
 void Runtime::dispatch_local(const transport::Frame& frame) {
-  // Frame direction is implied by its type: data/silence travel with the
-  // wire, probes/replays/stability travel against it.
   const WireId wire = transport::frame_wire(frame);
-  if (std::holds_alternative<transport::DataFrame>(frame) ||
-      std::holds_alternative<transport::SilenceFrame>(frame)) {
-    dispatch_to_receiver_local(wire, frame);
-  } else {
-    dispatch_to_sender_local(wire, frame);
-  }
-}
-
-void Runtime::dispatch_to_receiver_local(WireId wire,
-                                         const transport::Frame& frame) {
   const auto& spec = topology_.wire(wire);
-  if (spec.kind == WireKind::kExternalOutput) {
+  const bool downstream =
+      std::holds_alternative<transport::DataFrame>(frame) ||
+      std::holds_alternative<transport::SilenceFrame>(frame);
+  if (downstream && spec.kind == WireKind::kExternalOutput) {
     deliver_external_output(wire, frame);
+    return;
+  }
+  if (!downstream && spec.kind == WireKind::kExternalInput) {
+    handle_external_sender_frame(wire, frame);
     return;
   }
   // A peer process may (buggily) hand us a frame for a component it hosts
   // itself; dropping beats crashing the node.
-  if (!engine_is_local(engine_of(spec.to))) {
+  const EngineId e = engine_of(downstream ? spec.to : spec.from);
+  if (!engine_is_local(e)) {
     remote_frames_dropped_.fetch_add(1);
     return;
   }
-  engines_.at(engine_of(spec.to))->deliver_to_receiver(wire, frame);
-}
-
-void Runtime::dispatch_to_sender_local(WireId wire,
-                                       const transport::Frame& frame) {
-  const auto& spec = topology_.wire(wire);
-  if (spec.kind == WireKind::kExternalInput) {
-    handle_external_sender_frame(wire, frame);
-    return;
+  Engine& engine = *engines_.at(e);
+  if (downstream) {
+    engine.deliver_to_receiver(wire, frame);
+  } else {
+    engine.deliver_to_sender(wire, frame);
   }
-  if (!engine_is_local(engine_of(spec.from))) {
-    remote_frames_dropped_.fetch_add(1);
-    return;
-  }
-  engines_.at(engine_of(spec.from))->deliver_to_sender(wire, frame);
 }
 
 void Runtime::to_receiver(WireId wire, transport::Frame frame) {
@@ -783,32 +708,24 @@ void Runtime::set_link_down(EngineId a, EngineId b, bool down) {
 }
 
 MetricsSnapshot Runtime::metrics(ComponentId component) const {
-  const EngineId e = engine_of(component);
-  if (!engine_is_local(e)) return MetricsSnapshot{};
-  return engines_.at(e)->metrics(component);
+  const auto r = live_runner(component);
+  return r == nullptr ? MetricsSnapshot{} : r->metrics();
 }
 
 std::uint64_t Runtime::state_fingerprint(ComponentId component) {
-  if (!engine_is_local(engine_of(component))) return 0;
-  Engine& e = *engines_.at(engine_of(component));
-  const auto r = e.runner(component);
+  const auto r = live_runner(component);
   return r == nullptr ? 0 : r->state_fingerprint();
 }
 
 std::size_t Runtime::retained_messages(ComponentId component) {
-  if (!engine_is_local(engine_of(component))) return 0;
-  Engine& e = *engines_.at(engine_of(component));
-  const auto r = e.runner(component);
+  const auto r = live_runner(component);
   return r == nullptr ? 0 : r->retained_messages();
 }
 
 MetricsSnapshot Runtime::total_metrics() const {
   MetricsSnapshot total;
-  for (const auto& [component, engine] : placement_snapshot()) {
-    if (!engine_is_local(engine)) continue;
-    const MetricsSnapshot s = engines_.at(engine)->metrics(component);
-    total += s;
-  }
+  for (const auto& [component, engine] : placement_snapshot())
+    if (const auto r = live_runner(component)) total += r->metrics();
   for (const auto* store :
        {message_store_.get(), fault_store_.get(), replica_store_.get()}) {
     if (store == nullptr) continue;
@@ -847,29 +764,37 @@ std::vector<WireId> Runtime::external_input_wires() const {
 }
 
 bool Runtime::force_component_checkpoints(std::chrono::milliseconds timeout) {
-  struct Pending {
-    ComponentId component;
-    std::uint64_t pre_version;
-  };
-  std::vector<Pending> pending;
-  for (const auto& [component, engine] : placement_snapshot()) {
-    if (!engine_is_local(engine)) continue;
-    Engine& e = *engines_.at(engine);
-    if (e.crashed()) continue;  // fail-stopped: nothing to capture
-    const auto runner = e.runner(component);
-    if (runner == nullptr) continue;
-    pending.push_back({component, replica_.latest_version(component)});
-    runner->enqueue_control(CheckpointNowCtl{});
+  std::vector<std::shared_ptr<ComponentRunner>> runners;
+  for (const auto& [component, engine] : placement_snapshot())
+    if (auto r = live_runner(component)) runners.push_back(std::move(r));
+  return checkpoint_barrier(runners, timeout);
+}
+
+bool Runtime::force_component_checkpoint(ComponentId c,
+                                         std::chrono::milliseconds timeout) {
+  auto r = live_runner(c);
+  return r != nullptr && checkpoint_barrier({std::move(r)}, timeout);
+}
+
+std::shared_ptr<ComponentRunner> Runtime::live_runner(ComponentId c) const {
+  const EngineId e = engine_of(c);
+  if (!engine_is_local(e)) return nullptr;
+  const auto it = engines_.find(e);
+  // A crashed engine pins nothing: fail-stopped, nothing to capture.
+  return it == engines_.end() ? nullptr : it->second->runner(c);
+}
+
+bool Runtime::checkpoint_barrier(
+    const std::vector<std::shared_ptr<ComponentRunner>>& runners,
+    std::chrono::milliseconds timeout) {
+  std::map<ComponentId, std::uint64_t> past;
+  for (const auto& r : runners) {
+    past.emplace(r->id(), replica_.latest_version(r->id()));
+    r->enqueue_control(CheckpointNowCtl{});
   }
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  for (;;) {
-    bool all = true;
-    for (const auto& p : pending)
-      if (replica_.latest_version(p.component) <= p.pre_version) all = false;
-    if (all) return true;
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
+  // Not a wait for quiescence: a loaded runtime never goes quiet, but its
+  // runners serve control between handlers.
+  return replica_.wait_past(past, std::chrono::steady_clock::now() + timeout);
 }
 
 std::uint64_t Runtime::compact_below(
@@ -937,24 +862,6 @@ bool Runtime::component_is_local(ComponentId c) const {
   return engine_is_local(engine_of(c));
 }
 
-bool Runtime::force_component_checkpoint(ComponentId c,
-                                         std::chrono::milliseconds timeout) {
-  const EngineId e = engine_of(c);
-  if (!engine_is_local(e)) return false;
-  const auto eit = engines_.find(e);
-  if (eit == engines_.end() || eit->second->crashed()) return false;
-  const auto runner = eit->second->runner(c);
-  if (runner == nullptr) return false;
-  const std::uint64_t pre = replica_.latest_version(c);
-  runner->enqueue_control(CheckpointNowCtl{});
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (replica_.latest_version(c) <= pre) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  return true;
-}
-
 std::optional<checkpoint::RestorePlan> Runtime::export_component_plan(
     ComponentId c) {
   return replica_.restore(c);
@@ -994,21 +901,7 @@ bool Runtime::adopt_component(ComponentId c, EngineId onto,
   }
   // (Re)create the boundary adapters the component owns here now, resuming
   // past whatever the freshly seeded log holds.
-  {
-    const std::unique_lock<std::shared_mutex> lk(io_mu_);
-    for (const auto& spec : topology_.wires()) {
-      if (spec.kind == WireKind::kExternalInput && spec.to == c &&
-          !inputs_.contains(spec.id)) {
-        auto adapter = std::make_shared<InputAdapter>();
-        adapter->resume(message_log_.next_seq(spec.id),
-                        message_log_.last_vt(spec.id));
-        inputs_.emplace(spec.id, std::move(adapter));
-      }
-      if (spec.kind == WireKind::kExternalOutput && spec.from == c &&
-          !outputs_.contains(spec.id))
-        outputs_.emplace(spec.id, std::make_shared<OutputSink>());
-    }
-  }
+  open_boundary(c);
   for (const AdoptedInput& in : inputs) {
     if (!in.closed) continue;
     if (const auto pinned = input_adapter(in.wire)) {
@@ -1058,6 +951,24 @@ std::vector<Runtime::SealedOutput> Runtime::evict_component(
   return sealed;
 }
 
+void Runtime::open_boundary(ComponentId c) {
+  const std::unique_lock<std::shared_mutex> lk(io_mu_);
+  for (const auto& spec : topology_.wires()) {
+    if (spec.kind == WireKind::kExternalInput && spec.to == c &&
+        !inputs_.contains(spec.id)) {
+      // Resume past anything the log holds (next_seq, not size: compaction
+      // may have truncated a covered prefix out of the retained log).
+      auto adapter = std::make_shared<InputAdapter>();
+      adapter->resume(message_log_.next_seq(spec.id),
+                      message_log_.last_vt(spec.id));
+      inputs_.emplace(spec.id, std::move(adapter));
+    }
+    if (spec.kind == WireKind::kExternalOutput && spec.from == c &&
+        !outputs_.contains(spec.id))
+      outputs_.emplace(spec.id, std::make_shared<OutputSink>());
+  }
+}
+
 void Runtime::apply_placement(ComponentId c, EngineId engine) {
   const std::unique_lock<std::shared_mutex> lk(placement_mu_);
   placement_[c] = engine;
@@ -1068,11 +979,7 @@ void Runtime::trim_retention_below(WireId wire, std::uint64_t below_seq) {
   // External inputs are log-backed, not retention-backed; the checkpoint
   // compaction path owns their trimming.
   if (spec.kind == WireKind::kExternalInput || !spec.from.is_valid()) return;
-  const EngineId e = engine_of(spec.from);
-  if (!engine_is_local(e)) return;
-  const auto eit = engines_.find(e);
-  if (eit == engines_.end()) return;
-  if (const auto runner = eit->second->runner(spec.from))
+  if (const auto runner = live_runner(spec.from))
     runner->enqueue_control(
         RetentionTrimCtl{wire, below_seq, &retention_trimmed_});
 }

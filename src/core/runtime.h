@@ -32,6 +32,7 @@
 #include "core/config.h"
 #include "core/engine.h"
 #include "core/metrics.h"
+#include "core/quiescence.h"
 #include "core/router.h"
 #include "core/status.h"
 #include "core/topology.h"
@@ -128,6 +129,10 @@ class Runtime final : public FrameRouter {
   /// Closes every external input and waits (up to `timeout`) until every
   /// component has processed everything. Returns true on quiescence.
   bool drain(std::chrono::milliseconds timeout = std::chrono::seconds(30));
+
+  /// Runners with work in hand (gauge `tart_runtime_active_runners`), and
+  /// the wait on it that drain and replay catch-up use.
+  [[nodiscard]] Quiescence& quiescence() { return quiescence_; }
 
   void stop();
 
@@ -425,9 +430,9 @@ class Runtime final : public FrameRouter {
     std::unique_ptr<transport::ReliableChannel> channel;
   };
 
+  /// Hands a frame to its local end: data and silence travel with the
+  /// wire, probes, replay requests and stability against it.
   void dispatch_local(const transport::Frame& frame);
-  void dispatch_to_receiver_local(WireId wire, const transport::Frame& frame);
-  void dispatch_to_sender_local(WireId wire, const transport::Frame& frame);
   void handle_external_sender_frame(WireId wire,
                                     const transport::Frame& frame);
   void deliver_external_output(WireId wire, const transport::Frame& frame);
@@ -436,10 +441,26 @@ class Runtime final : public FrameRouter {
   /// through the pair's link when one is configured.
   void route(EngineId src, EngineId dst, WireId wire, transport::Frame frame);
   [[nodiscard]] VirtualTime real_now() const;
-  /// Records kIngestArrive (+ kIngestDurable when durable_ns >= 0) for one
-  /// stamped-and-logged injection against the edge pseudo-component.
-  void record_ingest(const Message& m, std::int64_t arrive_ns,
-                     std::int64_t durable_ns);
+  /// The one ingest path: stamps, logs (one group commit) and delivers a
+  /// batch. A scripted vt below the wire's floor is clamped up when
+  /// `clamp_vt` (inject_at), refused with kVtRegressed otherwise.
+  std::vector<InjectResult> ingest(const std::vector<InjectRequest>& requests,
+                                   bool clamp_vt);
+  /// inject/inject_at's result, or the exception a failed status maps to.
+  static VirtualTime accepted_vt(const std::vector<InjectResult>& results,
+                                 const std::string& what);
+  /// Creates the input adapters and output sinks of `c`'s external wires
+  /// that do not exist yet.
+  void open_boundary(ComponentId c);
+  /// The runner of `c` when it is placed on a live local engine.
+  [[nodiscard]] std::shared_ptr<ComponentRunner> live_runner(
+      ComponentId c) const;
+  /// The forced-checkpoint barrier: asks each runner for a FULL soft
+  /// checkpoint and waits until the replica accepted one from every one of
+  /// them. False at the deadline.
+  bool checkpoint_barrier(
+      const std::vector<std::shared_ptr<ComponentRunner>>& runners,
+      std::chrono::milliseconds timeout);
   /// Counts an injection whose data frame was delivered, with every
   /// earlier one on its wire, as handed over (InputAdapter::handed_seq).
   void mark_handed(InputAdapter& in, const Message& m);
@@ -496,6 +517,9 @@ class Runtime final : public FrameRouter {
   /// (wire, seq) exemplars; registered in the ctor, recorded in
   /// deliver_external_output.
   obs::Histogram* e2e_hist_ = nullptr;
+  /// Runners with work in hand; outlives the engines whose runners count
+  /// into it.
+  Quiescence quiescence_{registry_};
 
   std::map<EngineId, std::unique_ptr<Engine>> engines_;
   /// Guards the MAP STRUCTURE of inputs_/outputs_ (adoption inserts,

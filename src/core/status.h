@@ -44,9 +44,6 @@ struct ComponentStatus {
   /// Total messages pending across all input wires.
   std::uint64_t pending = 0;
   bool exhausted = false;
-  /// Running a burst of handlers, or still routing what it emitted: work
-  /// is in hand even when nothing is pending.
-  bool busy = false;
   /// Crashed and awaiting recovery; the rest of the fields are zero.
   bool crashed = false;
   /// True when the earliest pending message is being held by pessimism.

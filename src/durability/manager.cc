@@ -104,25 +104,15 @@ CheckpointStats CheckpointManager::checkpoint_now() {
   }
 
   // 2. Export the plans and derive per-wire coverage from each consumer's
-  // checkpointed input position.
+  // checkpointed input position (an external wire has one consumer).
   DurableCheckpoint c;
   c.deployment_fp = config_.deployment_fp;
   c.plans = runtime_.replica().export_plans();
+  std::map<WireId, std::uint64_t> cover = cover_from_plans(c.plans);
   std::map<WireId, std::uint64_t> covered;
   for (const WireId wire : runtime_.external_input_wires()) {
-    const ComponentId consumer = runtime_.topology().wire(wire).to;
-    std::uint64_t covered_seq = 0;
-    const auto it = c.plans.find(consumer);
-    if (it != c.plans.end()) {
-      const checkpoint::ComponentSnapshot& last =
-          it->second.deltas.empty() ? it->second.base
-                                    : it->second.deltas.back();
-      for (const auto& in : last.inputs)
-        if (in.wire == wire) {
-          covered_seq = in.next_seq;
-          break;
-        }
-    }
+    const auto it = cover.find(wire);
+    const std::uint64_t covered_seq = it == cover.end() ? 0 : it->second;
     covered.emplace(wire, covered_seq);
     c.wires.push_back(WireCover{
         wire, covered_seq,
@@ -153,7 +143,6 @@ CheckpointStats CheckpointManager::checkpoint_now() {
 
   // Publish the fresh cover; peers bound their retention with it.
   std::function<void(const std::map<WireId, std::uint64_t>&)> hook;
-  std::map<WireId, std::uint64_t> cover = cover_from_plans(c.plans);
   {
     const std::lock_guard<std::mutex> cover_lk(cover_mu_);
     latest_cover_ = cover;

@@ -29,15 +29,14 @@ struct ReplayStats {
 class ReplayDriver {
  public:
   /// Blocks until every component has processed the recovered log suffix
-  /// (or the timeout passes). Call after Runtime::start() and before
-  /// exposing the node to new external input. Outputs are suppressed for
-  /// the duration; delivered records are still retained for inspection.
-  /// Components blocked awaiting silence on a still-open wire count as
-  /// caught up — the pre-crash wavefront was parked in the same place, and
-  /// only new input (or a probe) can advance it. This also makes catch_up
-  /// usable as a live "settle" barrier: it returns once everything the
-  /// external log holds has been delivered and consumed as far as the
-  /// silence frontier permits.
+  /// (or the timeout passes): the suffix is delivered and no runner has
+  /// work in hand (Runtime::quiescence). Call after Runtime::start() and
+  /// before exposing the node to new external input. Outputs are
+  /// suppressed meanwhile; delivered records are still retained. A
+  /// component held awaiting silence on a still-open wire is caught up —
+  /// the pre-crash wavefront was parked there too, and only new input (or
+  /// a probe) can advance it — so catch_up doubles as a live "settle"
+  /// barrier.
   static ReplayStats catch_up(
       core::Runtime& runtime,
       std::chrono::milliseconds timeout = std::chrono::seconds(30));

@@ -373,37 +373,13 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
   }
   if (path == "/drain") {
     if (!method_ok("POST")) return;
-    const auto params = parse_query(req.query);
-    std::int64_t timeout_ms = 30000;
-    if (const auto t = query_param(params, "timeout_ms")) {
-      const auto v = parse_i64(*t);
-      if (!v || *v < 0) {
-        errors_.fetch_add(1);
-        respond(id, 400, {}, "bad timeout_ms\n", req.keep_alive);
-        return;
-      }
-      timeout_ms = *v;
-    }
-    // drain() blocks up to the timeout — never on the loop thread.
-    const auto conn_it = conns_.find(id);
-    Conn* c = conn_it->second.get();
-    c->awaiting = true;
-    loop_.set_interest(c->fd.get(), false, c->out_off < c->outbuf.size());
-    const bool keep = req.keep_alive;
-    const std::lock_guard<std::mutex> lk(workers_mu_);
-    workers_.emplace_back([this, id, timeout_ms, keep] {
-      const bool ok =
-          runtime_->drain(std::chrono::milliseconds(timeout_ms));
-      loop_.post([this, id, ok, keep] {
-        if (!conns_.contains(id)) return;
-        if (ok) {
-          respond(id, 200, {}, "drained\n", keep);
-        } else {
-          errors_.fetch_add(1);
-          respond(id, 503, {}, "drain timeout\n", keep);
-        }
-        serve_next(id);
-      });
+    const auto timeout_ms =
+        int_param(id, req, parse_query(req.query), "timeout_ms", 30000, 0);
+    if (!timeout_ms) return;
+    respond_later(id, req.keep_alive, [this, ms = *timeout_ms] {
+      return runtime_->drain(std::chrono::milliseconds(ms))
+                 ? Reply{200, "drained\n"}
+                 : Reply{503, "drain timeout\n"};
     });
     return;
   }
@@ -416,30 +392,16 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
               req.keep_alive);
       return;
     }
-    // checkpoint_now() blocks on the component barrier + fsyncs — never
-    // on the loop thread (same pattern as /drain).
-    const auto conn_it = conns_.find(id);
-    Conn* c = conn_it->second.get();
-    c->awaiting = true;
-    loop_.set_interest(c->fd.get(), false, c->out_off < c->outbuf.size());
-    const bool keep = req.keep_alive;
-    const std::lock_guard<std::mutex> lk(workers_mu_);
-    workers_.emplace_back([this, id, mgr, keep] {
+    respond_later(id, req.keep_alive, [mgr] {
       const durability::CheckpointStats stats = mgr->checkpoint_now();
-      loop_.post([this, id, stats, keep] {
-        if (!conns_.contains(id)) return;
-        std::ostringstream body;
-        body << "{\"ok\":" << (stats.ok ? "true" : "false")
-             << ",\"id\":" << stats.id << ",\"bytes\":" << stats.bytes
-             << ",\"covered_records\":" << stats.covered_records
-             << ",\"reclaimed_records\":" << stats.reclaimed_records;
-        if (!stats.ok) body << ",\"error\":\"" << stats.error << "\"";
-        body << "}\n";
-        if (!stats.ok) errors_.fetch_add(1);
-        respond(id, stats.ok ? 200 : 500,
-                {{"Content-Type", "application/json"}}, body.str(), keep);
-        serve_next(id);
-      });
+      std::ostringstream body;
+      body << "{\"ok\":" << (stats.ok ? "true" : "false")
+           << ",\"id\":" << stats.id << ",\"bytes\":" << stats.bytes
+           << ",\"covered_records\":" << stats.covered_records
+           << ",\"reclaimed_records\":" << stats.reclaimed_records;
+      if (!stats.ok) body << ",\"error\":\"" << stats.error << "\"";
+      body << "}\n";
+      return Reply{stats.ok ? 200 : 500, body.str(), true};
     });
     return;
   }
@@ -507,17 +469,8 @@ void Gateway::handle_inject(std::uint64_t id, const HttpRequest& req,
   if (maybe_redirect(id, req, input->first)) return;
   const WireId wire = input->second;
 
-  std::int64_t vt = -1;
-  const auto params = parse_query(req.query);
-  if (const auto v = query_param(params, "vt")) {
-    const auto parsed = parse_i64(*v);
-    if (!parsed || *parsed < 0) {
-      errors_.fetch_add(1);
-      respond(id, 400, {}, "bad vt\n", req.keep_alive);
-      return;
-    }
-    vt = *parsed;
-  }
+  const auto vt = int_param(id, req, parse_query(req.query), "vt", -1, 0);
+  if (!vt) return;
 
   Payload payload;
   try {
@@ -548,7 +501,7 @@ void Gateway::handle_inject(std::uint64_t id, const HttpRequest& req,
   PendingInject pending;
   pending.conn_id = id;
   pending.wire = wire;
-  pending.request = core::InjectRequest{wire, vt, std::move(payload)};
+  pending.request = core::InjectRequest{wire, *vt, std::move(payload)};
   pending.keep_alive = req.keep_alive;
   pending.enqueued = Clock::now();
   // Lineage arrival stamp: the kIngestArrive event (and the ingress-queue
@@ -576,38 +529,28 @@ void Gateway::handle_outputs(std::uint64_t id, const HttpRequest& req,
   }
   if (maybe_redirect(id, req, output->first)) return;
   const auto params = parse_query(req.query);
-  std::size_t after = 0;
-  std::size_t max = 100000;
-  std::int64_t wait_ms = 0;
-  if (const auto v = query_param(params, "after")) {
-    const auto parsed = parse_i64(*v);
-    if (!parsed || *parsed < 0) {
-      errors_.fetch_add(1);
-      respond(id, 400, {}, "bad after\n", req.keep_alive);
-      return;
-    }
-    after = static_cast<std::size_t>(*parsed);
-  }
-  if (const auto v = query_param(params, "max")) {
-    const auto parsed = parse_i64(*v);
-    if (!parsed || *parsed <= 0) {
-      errors_.fetch_add(1);
-      respond(id, 400, {}, "bad max\n", req.keep_alive);
-      return;
-    }
-    max = static_cast<std::size_t>(*parsed);
-  }
-  if (const auto v = query_param(params, "wait_ms")) {
-    const auto parsed = parse_i64(*v);
-    if (!parsed || *parsed < 0) {
-      errors_.fetch_add(1);
-      respond(id, 400, {}, "bad wait_ms\n", req.keep_alive);
-      return;
-    }
-    wait_ms = *parsed;
-  }
-  const auto deadline = Clock::now() + std::chrono::milliseconds(wait_ms);
-  poll_outputs(id, output->second, after, max, deadline, req.keep_alive);
+  const auto after = int_param(id, req, params, "after", 0, 0);
+  if (!after) return;
+  const auto max = int_param(id, req, params, "max", 100000, 1);
+  if (!max) return;
+  const auto wait_ms = int_param(id, req, params, "wait_ms", 0, 0);
+  if (!wait_ms) return;
+  const auto deadline = Clock::now() + std::chrono::milliseconds(*wait_ms);
+  poll_outputs(id, output->second, static_cast<std::size_t>(*after),
+               static_cast<std::size_t>(*max), deadline, req.keep_alive);
+}
+
+std::optional<std::int64_t> Gateway::int_param(
+    std::uint64_t id, const HttpRequest& req,
+    const std::vector<std::pair<std::string, std::string>>& params,
+    std::string_view name, std::int64_t fallback, std::int64_t min) {
+  const auto text = query_param(params, name);
+  if (!text) return fallback;
+  const auto v = parse_i64(*text);
+  if (v && *v >= min) return v;
+  errors_.fetch_add(1);
+  respond(id, 400, {}, "bad " + std::string(name) + "\n", req.keep_alive);
+  return std::nullopt;
 }
 
 bool Gateway::maybe_redirect(std::uint64_t id, const HttpRequest& req,
@@ -652,17 +595,8 @@ void Gateway::handle_migrate(std::uint64_t id, const HttpRequest& req) {
     return;
   }
 
-  // migrate blocks through checkpoint + transfer + cutover — never on the
-  // loop thread (same pattern as /drain and /checkpoint).
-  const auto conn_it = conns_.find(id);
-  Conn* c = conn_it->second.get();
-  c->awaiting = true;
-  loop_.set_interest(c->fd.get(), false, c->out_off < c->outbuf.size());
-  const bool keep = req.keep_alive;
-  const std::string comp(*component);
-  const std::string node(*to);
-  const std::lock_guard<std::mutex> lk(workers_mu_);
-  workers_.emplace_back([this, id, comp, node, keep] {
+  respond_later(id, req.keep_alive, [this, comp = std::string(*component),
+                                     node = std::string(*to)] {
     MigrateOutcome r;
     try {
       r = hooks_.migrate(comp, node);
@@ -670,20 +604,33 @@ void Gateway::handle_migrate(std::uint64_t id, const HttpRequest& req) {
       r.ok = false;
       r.error = e.what();
     }
-    loop_.post([this, id, r = std::move(r), keep] {
+    std::ostringstream body;
+    body << "{\"ok\":" << (r.ok ? "true" : "false")
+         << ",\"epoch\":" << r.epoch << ",\"slice_bytes\":" << r.slice_bytes
+         << ",\"delta_bytes\":" << r.delta_bytes
+         << ",\"record_count\":" << r.record_count
+         << ",\"transfer_ms\":" << r.transfer_ms
+         << ",\"blackout_ms\":" << r.blackout_ms;
+    if (!r.ok) body << ",\"error\":\"" << r.error << "\"";
+    body << "}\n";
+    return Reply{r.ok ? 200 : 409, body.str(), true};
+  });
+}
+
+void Gateway::respond_later(std::uint64_t id, bool keep_alive,
+                            std::function<Reply()> work) {
+  Conn* c = conns_.at(id).get();
+  c->awaiting = true;
+  loop_.set_interest(c->fd.get(), false, c->out_off < c->outbuf.size());
+  const std::lock_guard<std::mutex> lk(workers_mu_);
+  workers_.emplace_back([this, id, keep_alive, work = std::move(work)] {
+    Reply r = work();
+    loop_.post([this, id, keep_alive, r = std::move(r)] {
       if (!conns_.contains(id)) return;
-      std::ostringstream body;
-      body << "{\"ok\":" << (r.ok ? "true" : "false")
-           << ",\"epoch\":" << r.epoch << ",\"slice_bytes\":" << r.slice_bytes
-           << ",\"delta_bytes\":" << r.delta_bytes
-           << ",\"record_count\":" << r.record_count
-           << ",\"transfer_ms\":" << r.transfer_ms
-           << ",\"blackout_ms\":" << r.blackout_ms;
-      if (!r.ok) body << ",\"error\":\"" << r.error << "\"";
-      body << "}\n";
-      if (!r.ok) errors_.fetch_add(1);
-      respond(id, r.ok ? 200 : 409, {{"Content-Type", "application/json"}},
-              body.str(), keep);
+      if (r.status != 200) errors_.fetch_add(1);
+      std::vector<std::pair<std::string, std::string>> extra;
+      if (r.json) extra.emplace_back("Content-Type", "application/json");
+      respond(id, r.status, std::move(extra), r.body, keep_alive);
       serve_next(id);
     });
   });

@@ -210,6 +210,23 @@ class Gateway {
   void handle_outputs(std::uint64_t id, const HttpRequest& req,
                       std::string_view name);
   void handle_migrate(std::uint64_t id, const HttpRequest& req);
+  /// Integer query parameter `name` (`fallback` when absent); answers 400
+  /// and returns nullopt when it is malformed or below `min`.
+  std::optional<std::int64_t> int_param(
+      std::uint64_t id, const HttpRequest& req,
+      const std::vector<std::pair<std::string, std::string>>& params,
+      std::string_view name, std::int64_t fallback, std::int64_t min);
+  /// A blocking route's answer (drain, checkpoint, migrate).
+  struct Reply {
+    int status = 200;
+    std::string body;
+    bool json = false;
+  };
+  /// Runs `work` on a worker thread (it blocks, never the loop) while the
+  /// connection waits, then sends its reply from the loop thread. A
+  /// non-200 reply counts as an error.
+  void respond_later(std::uint64_t id, bool keep_alive,
+                     std::function<Reply()> work);
   /// Answers 307 toward the current owner when `name` is served elsewhere
   /// (hooks_.redirect says so); returns true when a redirect was sent.
   bool maybe_redirect(std::uint64_t id, const HttpRequest& req,

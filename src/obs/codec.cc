@@ -33,7 +33,6 @@ std::vector<std::byte> encode_status_body(const core::StatusReport& report) {
     w.write_svarint(c.vt_ticks);
     w.write_varint(c.pending);
     w.write_bool(c.exhausted);
-    w.write_bool(c.busy);
     w.write_bool(c.crashed);
     w.write_bool(c.held);
     w.write_svarint(c.held_vt);
@@ -77,7 +76,6 @@ core::StatusReport decode_status_body(const std::vector<std::byte>& p) {
     c.vt_ticks = r.read_svarint();
     c.pending = r.read_varint();
     c.exhausted = r.read_bool();
-    c.busy = r.read_bool();
     c.crashed = r.read_bool();
     c.held = r.read_bool();
     c.held_vt = r.read_svarint();

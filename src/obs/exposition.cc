@@ -512,8 +512,6 @@ std::string render_status_json(const core::StatusReport& report,
     out += ",\"pending\":" + std::to_string(c.pending);
     out += ",\"exhausted\":";
     out += c.exhausted ? "true" : "false";
-    out += ",\"busy\":";
-    out += c.busy ? "true" : "false";
     out += ",\"held\":";
     out += c.held ? "true" : "false";
     if (c.held) {

@@ -71,7 +71,10 @@ class Counter {
 class Gauge {
  public:
   void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
+  /// Returns the new value. add() and value() are sequentially consistent,
+  /// so a gauge can itself be a count that threads wait on
+  /// (core::Quiescence).
+  std::int64_t add(std::int64_t d) { return v_.fetch_add(d) + d; }
   /// Raise-to-maximum (high-water marks).
   void max_with(std::int64_t v) {
     std::int64_t cur = v_.load(std::memory_order_relaxed);
@@ -79,9 +82,7 @@ class Gauge {
            !v_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
     }
   }
-  [[nodiscard]] std::int64_t value() const {
-    return v_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::int64_t value() const { return v_.load(); }
 
  private:
   std::atomic<std::int64_t> v_{0};

@@ -2,8 +2,9 @@
 // runtime API: nested two-way calls, mixed call/data virtual-time
 // scheduling, pessimism-delay accounting and curiosity probes, prescience
 // neutrality, multicast fan-out, close-cascade draining under pure lazy
-// propagation, and burst staging (what a probe may see while a burst is in
-// hand, quiescence, batched hand-off).
+// propagation, burst staging (what a probe may see while a burst is in
+// hand, batched hand-off), the waits on the active-runner count (drain,
+// replay catch-up) and the forced-checkpoint barrier.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -15,6 +16,7 @@
 #include "checkpoint/replica.h"
 #include "core/runner.h"
 #include "core/runtime.h"
+#include "durability/replay.h"
 #include "estimator/estimator.h"
 #include "log/fault_log.h"
 
@@ -436,8 +438,9 @@ TEST(BurstStagingTest, ProbeNeverCoversAStagedFrame) {
   log::DeterminismFaultLog fault_log;
   checkpoint::ReplicaStore replica;
   obs::Registry registry;
+  Quiescence quiescence(registry);
   ComponentRunner runner(topo, c, config, router, fault_log, replica,
-                         registry, nullptr);
+                         registry, quiescence, nullptr);
   runner.start();
 
   Message m;
@@ -454,7 +457,7 @@ TEST(BurstStagingTest, ProbeNeverCoversAStagedFrame) {
   ASSERT_TRUE(during.has_value());
   EXPECT_EQ(during->expected_seq, 0u) << "a staged frame was counted";
   EXPECT_TRUE(router.data().empty()) << "staged output left early";
-  EXPECT_TRUE(runner.status().busy);
+  EXPECT_EQ(quiescence.active(), 1) << "a runner with output in hand parked";
 
   gate.release();
   const auto give_up = std::chrono::steady_clock::now() + 5s;
@@ -547,6 +550,179 @@ TEST(BurstStagingTest, HandoffCountersReadBursts) {
   const MetricsSnapshot total = rt.total_metrics();
   EXPECT_EQ(total.handoff_frames, 3u * kInputs);  // a->b, b->c, c->out
   rt.stop();
+}
+
+// --- Quiescence -------------------------------------------------------------------
+
+std::int64_t active_runners(const Runtime& rt) {
+  for (const obs::Sample& s : rt.registry().samples())
+    if (s.name == "tart_runtime_active_runners") return s.gauge_value;
+  ADD_FAILURE() << "tart_runtime_active_runners is not registered";
+  return -1;
+}
+
+// A handler parked mid-burst is work in hand: neither replay catch-up nor
+// drain may call the runtime settled, and the gauge shows the runner.
+// Once the gate opens both return, and the count falls back to zero.
+TEST(QuiescenceTest, ParkedHandlerHoldsCatchUpAndDrain) {
+  Gate gate;
+  g_gate = &gate;
+  Topology topo;
+  const auto c = topo.add("parker", [] {
+    return std::make_unique<EmitThenPark>();
+  });
+  const auto in = topo.external_input(c, PortId(0));
+  const auto out = topo.external_output(c, PortId(0));
+  Runtime rt(topo, {{c, EngineId(0)}}, RuntimeConfig{});
+  rt.start();
+  ASSERT_EQ(rt.try_inject_at(in, VirtualTime(1000), Payload(std::int64_t{7}))
+                .status,
+            InjectStatus::kOk);
+  ASSERT_TRUE(gate.wait_entered(5s));
+
+  EXPECT_FALSE(durability::ReplayDriver::catch_up(rt, 20ms).caught_up);
+  EXPECT_GE(active_runners(rt), 1);
+  EXPECT_FALSE(rt.drain(20ms));
+  EXPECT_GE(active_runners(rt), 1);
+  EXPECT_TRUE(rt.output_records(out).empty()) << "staged output left early";
+
+  gate.release();
+  EXPECT_TRUE(durability::ReplayDriver::catch_up(rt).caught_up);
+  EXPECT_TRUE(rt.drain());
+  ASSERT_EQ(rt.output_records(out).size(), 1u);
+  EXPECT_EQ(rt.output_records(out)[0].payload.as_int(), 7);
+  // Idle runners wake on their timers and count themselves in for a
+  // moment, so "reads 0" is asserted as a wait on the count itself.
+  EXPECT_TRUE(rt.quiescence().wait_until(
+      std::chrono::steady_clock::now() + 5s,
+      [&] { return active_runners(rt) == 0; }));
+  rt.stop();
+  EXPECT_EQ(active_runners(rt), 0);
+  g_gate = nullptr;
+}
+
+// The checkpoint barrier waits for the replica, not for quiescence, so it
+// must still give up at its deadline when a runner it asked can never
+// answer: here the caller's engine crashes while the caller is blocked in
+// a call to a component on another node.
+TEST(CheckpointBarrierTest, FailsAtDeadlineWhenEngineCrashed) {
+  Topology topo;
+  const auto caller = topo.add("caller", [] {
+    return std::make_unique<DoubleCaller>();
+  });
+  const auto service = topo.add("service", [] {
+    return std::make_unique<apps::ScalingService>();
+  });
+  // Added after the caller: the barrier asks components in id order, so
+  // the bystander's checkpoint proves the caller has been asked too.
+  const auto bystander = topo.add("bystander", [] {
+    return std::make_unique<apps::Passthrough>();
+  });
+  const auto in = topo.external_input(caller, PortId(0));
+  topo.connect_call(caller, PortId(1), service, PortId(0));
+  topo.external_output(caller, PortId(0));
+  topo.external_input(bystander, PortId(0));
+  topo.external_output(bystander, PortId(0));
+  RuntimeConfig config;
+  config.local_engines = {EngineId(0), EngineId(1)};
+  Runtime rt(topo,
+             {{bystander, EngineId(0)}, {caller, EngineId(1)},
+              {service, EngineId(9)}},
+             config);
+  // The service's node never answers: the call stays blocked.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool call_sent = false;
+  rt.set_remote_router([&](EngineId, const transport::Frame& frame) {
+    if (!std::holds_alternative<transport::DataFrame>(frame)) return;
+    const std::lock_guard<std::mutex> lk(mu);
+    call_sent = true;
+    cv.notify_all();
+  });
+  rt.start();
+  rt.inject_at(in, VirtualTime(1000), Payload(std::int64_t{5}));
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    ASSERT_TRUE(cv.wait_for(lk, 5s, [&] { return call_sent; }));
+  }
+
+  const std::uint64_t bystander_before =
+      rt.replica().latest_version(bystander);
+  constexpr auto kTimeout = 300ms;
+  bool ok = true;
+  std::chrono::steady_clock::duration waited{};
+  std::thread barrier([&] {
+    const auto t0 = std::chrono::steady_clock::now();
+    ok = rt.force_component_checkpoints(kTimeout);
+    waited = std::chrono::steady_clock::now() - t0;
+  });
+  ASSERT_TRUE(rt.replica().wait_past({{bystander, bystander_before}},
+                                     std::chrono::steady_clock::now() + 5s));
+  rt.crash_engine(EngineId(1));
+  barrier.join();
+  EXPECT_FALSE(ok);
+  EXPECT_GE(waited, kTimeout);
+  rt.stop();
+}
+
+// A full checkpoint restarts delta tracking: the soft-checkpoint delta
+// right after a forced one holds only the keys changed after it.
+TEST(ForcedCheckpointTest, NextDeltaHoldsOnlyLaterKeys) {
+  Topology topo;
+  const auto c = topo.add("counter", [] {
+    return std::make_unique<apps::WordCountSender>();
+  });
+  const auto in = topo.external_input(c, PortId(0));
+  topo.external_output(c, PortId(0));
+  RuntimeConfig config;
+  config.checkpoint.every_n_messages = 2;
+  config.checkpoint.full_every_k = 100;
+  RecordingRouter router;
+  log::DeterminismFaultLog fault_log;
+  checkpoint::ReplicaStore replica;
+  obs::Registry registry;
+  Quiescence quiescence(registry);
+  ComponentRunner runner(topo, c, config, router, fault_log, replica,
+                         registry, quiescence, nullptr);
+  runner.start();
+  std::uint64_t seq = 0;
+  const auto deliver = [&](std::vector<std::string> words) {
+    Message m;
+    m.wire = in;
+    m.seq = seq++;
+    m.vt = VirtualTime(1000 * static_cast<std::int64_t>(m.seq + 1));
+    m.payload = Payload(std::move(words));
+    runner.deliver_data(m);
+  };
+  const auto version_past = [&](std::uint64_t v) {
+    return replica.wait_past({{c, v}}, std::chrono::steady_clock::now() + 5s);
+  };
+
+  deliver({"a", "b"});
+  deliver({"c"});
+  ASSERT_TRUE(version_past(0));  // v1: the first soft checkpoint is full
+  runner.enqueue_control(CheckpointNowCtl{});
+  ASSERT_TRUE(version_past(1));  // v2: forced, full
+  deliver({"e"});
+  deliver({"f", "e"});
+  ASSERT_TRUE(version_past(2));  // v3: soft, a delta
+  runner.stop();
+
+  const auto plan = replica.restore(c);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(plan->base.version, 2u);
+  ASSERT_EQ(plan->deltas.size(), 1u);
+  ASSERT_TRUE(plan->deltas[0].is_delta);
+  serde::Reader r(plan->deltas[0].state);
+  std::vector<std::string> keys(r.read_varint());
+  for (std::string& key : keys) {
+    serde::decode_value(r, key);
+    if (r.read_bool()) {
+      std::int64_t count = 0;
+      serde::decode_value(r, count);
+    }
+  }
+  EXPECT_EQ(keys, (std::vector<std::string>{"e", "f"}));
 }
 
 }  // namespace
